@@ -5,7 +5,6 @@
 #include <filesystem>
 
 #include "online/state_io.h"
-#include "util/logging.h"
 
 namespace comptx::durability {
 
@@ -206,13 +205,9 @@ void Manager::FlusherLoop() {
         if (auto log = weak.lock()) live.push_back(std::move(log));
       }
     }
-    for (const auto& log : live) {
-      const Status status = log->SyncIfDirty();
-      if (!status.ok()) {
-        COMPTX_LOG(Warn) << "interval fsync of session " << log->id()
-                         << " failed: " << status;
-      }
-    }
+    // A failure is sticky in the writer, which logs it once; the next
+    // acked append on that session reports it to the client.
+    for (const auto& log : live) (void)log->SyncIfDirty();
   }
 }
 

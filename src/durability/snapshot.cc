@@ -97,6 +97,7 @@ std::string EncodeSnapshot(const Snapshot& snapshot) {
   for (const uint32_t root : snapshot.state.sealed) PutU32(payload, root);
   PutU64(payload, snapshot.state.trace.size());
   payload.append(snapshot.state.trace);
+  PutU64(payload, snapshot.state.commit_watermark);
 
   std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
   PutU32(out, static_cast<uint32_t>(payload.size()));
@@ -144,6 +145,11 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
     return Status::OutOfRange("snapshot payload undecodable");
   }
   snapshot.state.trace = cur.GetBytes(trace_len);
+  // The commit watermark trails the trace; snapshots written before it
+  // existed end here and decode as watermark 0.
+  if (cur.ok && cur.pos < len) {
+    snapshot.state.commit_watermark = cur.GetU64();
+  }
   if (!cur.ok || cur.pos != len) {
     return Status::OutOfRange("snapshot payload undecodable");
   }

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/logging.h"
+
 namespace comptx::durability {
 
 namespace {
@@ -417,10 +419,25 @@ Status WalWriter::WriteFully(const void* data, size_t size) {
   return Status::OK();
 }
 
+Status WalWriter::FailLocked(Status error) {
+  if (failed_.ok()) {
+    failed_ = std::move(error);
+    COMPTX_LOG(Error) << "WAL " << path_
+                      << " is failed; refusing every later append and sync: "
+                      << failed_;
+  }
+  return failed_;
+}
+
 StatusOr<uint64_t> WalWriter::Append(const WalRecord& record) {
   const std::string frame = EncodeWalRecord(record);
   std::lock_guard<std::mutex> lock(mu_);
-  COMPTX_RETURN_IF_ERROR(WriteFully(frame.data(), frame.size()));
+  if (!failed_.ok()) return failed_;
+  // A failed write may have left a torn frame; anything appended behind
+  // it would be unreachable on recovery, so the first error is final.
+  if (Status written = WriteFully(frame.data(), frame.size()); !written.ok()) {
+    return FailLocked(std::move(written));
+  }
   ++appended_;
   if (counters_ != nullptr) {
     counters_->wal_bytes.fetch_add(frame.size(), std::memory_order_relaxed);
@@ -434,8 +451,9 @@ StatusOr<uint64_t> WalWriter::Append(const WalRecord& record) {
 }
 
 Status WalWriter::SyncForAck() {
-  if (policy_ != FsyncPolicy::kAlways) return Status::OK();
   std::unique_lock<std::mutex> lock(mu_);
+  if (!failed_.ok()) return failed_;
+  if (policy_ != FsyncPolicy::kAlways) return Status::OK();
   return SyncLocked(lock);
 }
 
@@ -451,6 +469,9 @@ Status WalWriter::SyncLocked(std::unique_lock<std::mutex>& lock) {
   // return without touching the disk.
   const uint64_t target = appended_;
   while (durable_ < target) {
+    // A failed fsync may already have dropped the dirty pages, so a
+    // retry that returns 0 proves nothing: the first error is final.
+    if (!failed_.ok()) return failed_;
     if (sync_in_progress_) {
       cv_.wait(lock);
       continue;
@@ -462,17 +483,18 @@ Status WalWriter::SyncLocked(std::unique_lock<std::mutex>& lock) {
     // stays open for the whole fsync.
     const int fd = fd_;
     lock.unlock();
-    const int rc = ::fsync(fd);
+    const Status synced =
+        ::fsync(fd) == 0 ? Status::OK() : ErrnoStatus("fsync", path_);
     lock.lock();
     sync_in_progress_ = false;
-    if (rc == 0 && covered > durable_) durable_ = covered;
+    if (!synced.ok()) FailLocked(synced);
+    if (synced.ok() && covered > durable_) durable_ = covered;
     if (counters_ != nullptr) {
       counters_->fsyncs.fetch_add(1, std::memory_order_relaxed);
     }
     cv_.notify_all();
-    if (rc != 0) return ErrnoStatus("fsync", path_);
   }
-  return Status::OK();
+  return failed_;
 }
 
 Status WalWriter::CompactThrough(uint64_t watermark, const WalRecord& open,
@@ -481,6 +503,7 @@ Status WalWriter::CompactThrough(uint64_t watermark, const WalRecord& open,
   // A group-commit leader may be mid-fsync on fd_ with mu_ released;
   // wait it out so closing/swapping fd_ below never races the fsync.
   while (sync_in_progress_) cv_.wait(lock);
+  if (!failed_.ok()) return failed_;
   // Re-scan our own file (every frame was written unbuffered, and the
   // lock holds appends off, so the scan is complete and clean).
   COMPTX_ASSIGN_OR_RETURN(WalReadResult scan, ReadWalFile(path_));

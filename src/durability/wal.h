@@ -135,6 +135,11 @@ std::string EncodeWalRecord(const WalRecord& record);
 /// the Sync* entry points may be called from different threads; the
 /// writer serializes internally.  Group commit: concurrent SyncForAck
 /// callers ride one fsync (the classic durable-LSN scheme).
+///
+/// Fail-stop: the first write or fsync error is sticky and logged once.
+/// Every later Append, SyncForAck, SyncNow and CompactThrough returns it,
+/// because a torn frame hides every frame behind it from recovery and a
+/// retried fsync can return 0 after the kernel dropped the dirty pages.
 class WalWriter {
  public:
   /// Creates (or truncates) the file and writes the magic header.
@@ -185,6 +190,10 @@ class WalWriter {
   Status WriteFully(const void* data, size_t size);
   Status SyncLocked(std::unique_lock<std::mutex>& lock);
 
+  /// Records `error` as the writer's sticky failure unless one is already
+  /// recorded; returns the recorded one.
+  Status FailLocked(Status error);
+
   const std::string path_;
   const FsyncPolicy policy_;
   Counters* const counters_;
@@ -195,6 +204,7 @@ class WalWriter {
   uint64_t appended_ = 0;  // monotone count of write(2) batches
   uint64_t durable_ = 0;   // appended_ value covered by the last fsync
   bool sync_in_progress_ = false;
+  Status failed_;  // first write/fsync error; sticky once set
 
   std::atomic<uint64_t> next_lsn_{0};
 };

@@ -4,8 +4,6 @@
 #include <deque>
 #include <functional>
 
-#include "core/correctness.h"
-#include "staticcheck/analyzer.h"
 #include "util/string_util.h"
 
 namespace comptx::online {
@@ -13,29 +11,7 @@ namespace comptx::online {
 using workload::TraceEvent;
 using workload::TraceEventKind;
 
-namespace {
-
-OnlineFailure FailureFromReduction(const ReductionFailure& failure) {
-  OnlineFailure out;
-  out.level = failure.level;
-  out.step = failure.step == ReductionFailureStep::kCalculation
-                 ? OnlineFailure::Step::kCalculation
-                 : OnlineFailure::Step::kConflictConsistency;
-  out.witness = failure.witness.nodes;
-  out.description = failure.witness.description;
-  return out;
-}
-
-}  // namespace
-
 Certifier::Certifier(const CertifierOptions& options) : options_(options) {
-  if (options_.paranoid) {
-    mode_ = Mode::kParanoid;
-  } else if (options_.static_admission && options_.forgetting) {
-    // The analyzer verdict is exact only under the paper's semantics
-    // (forgetting enabled); the E8 ablation must stay dynamic.
-    mode_ = Mode::kStatic;
-  }
   engine_.Reset(&cs_, {}, 0, options_.forgetting);
 }
 
@@ -67,7 +43,6 @@ void Certifier::MarkPruned(NodeId id) {
 
 Status Certifier::Ingest(const TraceEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (fallback_wanted_) FallbackLocked();
   Status status = IngestLocked(event);
   if (!status.ok()) {
     ++events_rejected_;
@@ -86,15 +61,13 @@ size_t Certifier::IngestBatch(const std::vector<TraceEvent>& events,
     statuses->clear();
     statuses->reserve(events.size());
   }
-  if (fallback_wanted_) FallbackLocked();
   // One Pearce-Kelly maintenance window for the whole batch: cycle-graph
   // edges defer into the arena and apply in order at the flush.  The
   // accept/reject decision for each event reads only cs_, the closures
   // and the seal bits — never the deferred graphs — so per-event statuses
   // are identical to the sequential Ingest sequence.  Pruning (which does
   // read the graphs) runs at most once, after the flush.
-  const bool dynamic = DynamicActive();
-  if (dynamic) engine_.BeginBatch(&arena_);
+  engine_.BeginBatch(&arena_);
   in_batch_ = true;
   size_t rejected = 0;
   for (const TraceEvent& event : events) {
@@ -110,7 +83,7 @@ size_t Certifier::IngestBatch(const std::vector<TraceEvent>& events,
     if (statuses) statuses->push_back(std::move(status));
   }
   in_batch_ = false;
-  if (dynamic) engine_.FlushBatch();
+  engine_.FlushBatch();
   if (prune_pending_) {
     prune_pending_ = false;
     PruneLocked();
@@ -186,8 +159,7 @@ void Certifier::Rebuild() {
   // order is irrelevant and the result equals a fresh session's state.
   for (uint32_t s = 0; s < cs_.ScheduleCount(); ++s) {
     const ScheduleId sid(s);
-    ScheduleShard& sh = shard(sid);
-    std::lock_guard<std::mutex> lock(sh.mu);
+    const ScheduleShard& sh = shard(sid);
     sh.weak_output.ForEach(
         [&](NodeId a, NodeId b) { engine_.OnClosedWeakOutput(sid, a, b); });
     sh.weak_input.ForEach(
@@ -209,20 +181,20 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
   switch (e.kind) {
     case TraceEventKind::kSchedule: {
       cs_.AddSchedule(e.name);
-      shards_.push_back(std::make_unique<ScheduleShard>());
+      shards_.emplace_back();
       invokes_.emplace_back();
       // The level vector grew (and the order may have), so the engine's
       // level assignment is stale either way: rebuild.  This is cheap in
       // practice because schedules arrive before the bulk of the stream.
       RecomputeLevels();
-      if (DynamicActive()) Rebuild();
+      Rebuild();
       return Status::OK();
     }
     case TraceEventKind::kRoot: {
       COMPTX_ASSIGN_OR_RETURN(
           NodeId root, cs_.AddRootTransaction(ScheduleId(e.schedule), e.name));
       roots_.push_back(root);
-      if (DynamicActive()) engine_.OnNodeAdded(root);
+      engine_.OnNodeAdded(root);
       return Status::OK();
     }
     case TraceEventKind::kSub: {
@@ -243,8 +215,8 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
                               cs_.AddSubtransaction(parent, sched, e.name));
       invokes_[cs_.node(parent).owner_schedule.index()].insert(sched.index());
       if (RecomputeLevels()) {
-        if (DynamicActive()) Rebuild();
-      } else if (DynamicActive()) {
+        Rebuild();
+      } else {
         engine_.OnNodeAdded(sub);
       }
       return Status::OK();
@@ -253,7 +225,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       const NodeId parent(e.parent);
       COMPTX_RETURN_IF_ERROR(CheckNotSealed(parent));
       COMPTX_ASSIGN_OR_RETURN(NodeId leaf, cs_.AddLeaf(parent, e.name));
-      if (DynamicActive()) engine_.OnNodeAdded(leaf);
+      engine_.OnNodeAdded(leaf);
       return Status::OK();
     }
     case TraceEventKind::kConflict: {
@@ -262,16 +234,9 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(CheckNotSealed(b));
       COMPTX_RETURN_IF_ERROR(cs_.AddConflict(a, b));
       saw_relational_event_ = true;
-      if (!DynamicActive()) return Status::OK();
-      const ScheduleId host = cs_.HostScheduleOf(a);
-      bool wo_ab = false, wo_ba = false;
-      {
-        ScheduleShard& sh = shard(host);
-        std::lock_guard<std::mutex> lock(sh.mu);
-        wo_ab = sh.weak_output.Contains(a, b);
-        wo_ba = sh.weak_output.Contains(b, a);
-      }
-      engine_.OnConflict(a, b, wo_ab, wo_ba);
+      const ScheduleShard& sh = shard(cs_.HostScheduleOf(a));
+      engine_.OnConflict(a, b, sh.weak_output.Contains(a, b),
+                         sh.weak_output.Contains(b, a));
       return Status::OK();
     }
     case TraceEventKind::kWeakOutput:
@@ -286,14 +251,9 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
                                  ? cs_.AddWeakOutput(a, b)
                                  : cs_.AddStrongOutput(a, b));
       saw_relational_event_ = true;
-      if (!DynamicActive()) return Status::OK();
       const ScheduleId host = cs_.HostScheduleOf(a);
       std::vector<std::pair<NodeId, NodeId>> new_pairs;
-      {
-        ScheduleShard& sh = shard(host);
-        std::lock_guard<std::mutex> lock(sh.mu);
-        sh.weak_output.Add(a, b, new_pairs);
-      }
+      shard(host).weak_output.Add(a, b, new_pairs);
       for (const auto& [x, y] : new_pairs) {
         engine_.OnClosedWeakOutput(host, x, y);
       }
@@ -309,14 +269,10 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(strong ? cs_.AddStrongInput(sched, a, b)
                                     : cs_.AddWeakInput(sched, a, b));
       saw_relational_event_ = true;
-      if (!DynamicActive()) return Status::OK();
       std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
-      {
-        ScheduleShard& sh = shard(sched);
-        std::lock_guard<std::mutex> lock(sh.mu);
-        if (strong) sh.strong_input.Add(a, b, new_strong);
-        sh.weak_input.Add(a, b, new_weak);  // strong pairs are weak pairs.
-      }
+      ScheduleShard& sh = shard(sched);
+      if (strong) sh.strong_input.Add(a, b, new_strong);
+      sh.weak_input.Add(a, b, new_weak);  // strong pairs are weak pairs.
       for (const auto& [x, y] : new_strong) engine_.OnClosedStrongInput(x, y);
       for (const auto& [x, y] : new_weak) engine_.OnClosedWeakInput(x, y);
       return Status::OK();
@@ -332,15 +288,11 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(strong ? cs_.AddIntraStrong(txn, a, b)
                                     : cs_.AddIntraWeak(txn, a, b));
       saw_relational_event_ = true;
-      if (!DynamicActive()) return Status::OK();
       const ScheduleId owner = cs_.node(txn).owner_schedule;
       std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
-      {
-        ScheduleShard& sh = shard(owner);
-        std::lock_guard<std::mutex> lock(sh.mu);
-        if (strong) sh.strong_intra[txn].Add(a, b, new_strong);
-        sh.weak_intra[txn].Add(a, b, new_weak);  // strong implies weak.
-      }
+      ScheduleShard& sh = shard(owner);
+      if (strong) sh.strong_intra[txn].Add(a, b, new_strong);
+      sh.weak_intra[txn].Add(a, b, new_weak);  // strong implies weak.
       for (const auto& [x, y] : new_strong) engine_.OnClosedStrongIntra(x, y);
       for (const auto& [x, y] : new_weak) {
         engine_.OnClosedWeakIntra(txn, x, y);
@@ -388,14 +340,14 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
                                  : cs_.DeclareClash(e.a, e.b));
       // Retroactive spec change: conflicts already ingested may have been
       // derived under the old table.  Replay from the retained closures.
-      if (saw_relational_event_ && DynamicActive()) Rebuild();
+      if (saw_relational_event_) Rebuild();
       return Status::OK();
     }
     case TraceEventKind::kTag: {
       const NodeId target(e.parent);
       COMPTX_RETURN_IF_ERROR(CheckNotSealed(target));
       COMPTX_RETURN_IF_ERROR(cs_.TagOperation(target, e.a, e.b));
-      if (saw_relational_event_ && DynamicActive()) Rebuild();
+      if (saw_relational_event_) Rebuild();
       return Status::OK();
     }
   }
@@ -414,11 +366,12 @@ std::vector<NodeId> Certifier::SealedRoots() const {
   return sealed_roots_;
 }
 
-void Certifier::RestoreCounters(uint64_t accepted, uint64_t rejected) {
+void Certifier::RestoreCounters(uint64_t accepted, uint64_t rejected,
+                                uint64_t commit_watermark) {
   std::lock_guard<std::mutex> lock(mu_);
   events_accepted_ = accepted;
   events_rejected_ = rejected;
-  analysis_cached_at_ = ~uint64_t{0};
+  commit_watermark_ = commit_watermark;
 }
 
 void Certifier::SchedulePruneLocked() {
@@ -460,7 +413,6 @@ bool Certifier::CanPrune(const std::vector<NodeId>& subtree) const {
       // the subtree whenever the block is), so a clean graph suffices.
       if (!engine_.IntraGraphClean(n)) return false;
       const ScheduleShard& sh = shard(node.owner_schedule);
-      std::lock_guard<std::mutex> lock(sh.mu);
       if (sh.weak_input.HasIncomingFromOutside(n, inside) ||
           sh.strong_input.HasIncomingFromOutside(n, inside)) {
         return false;
@@ -470,14 +422,12 @@ bool Certifier::CanPrune(const std::vector<NodeId>& subtree) const {
       // Closure in-edges could later manufacture derived in-edges by
       // transitivity without any event naming `n`; require that none
       // cross the boundary.
-      {
-        const ScheduleShard& sh = shard(cs_.HostScheduleOf(n));
-        std::lock_guard<std::mutex> lock(sh.mu);
-        if (sh.weak_output.HasIncomingFromOutside(n, inside)) return false;
+      if (shard(cs_.HostScheduleOf(n))
+              .weak_output.HasIncomingFromOutside(n, inside)) {
+        return false;
       }
       const NodeId parent = node.parent;
       const ScheduleShard& sh = shard(cs_.node(parent).owner_schedule);
-      std::lock_guard<std::mutex> lock(sh.mu);
       auto check = [&](const auto& map) {
         auto it = map.find(parent);
         return it != map.end() && it->second.HasIncomingFromOutside(n, inside);
@@ -495,21 +445,15 @@ void Certifier::RemoveSubtree(const std::vector<NodeId>& subtree) {
     if (node.IsTransaction()) {
       engine_.RemoveIntraGraphOf(n);
       ScheduleShard& sh = shard(node.owner_schedule);
-      std::lock_guard<std::mutex> lock(sh.mu);
       sh.weak_input.RemoveNode(n);
       sh.strong_input.RemoveNode(n);
       sh.weak_intra.erase(n);
       sh.strong_intra.erase(n);
     }
     if (!node.IsRoot()) {
-      {
-        ScheduleShard& sh = shard(cs_.HostScheduleOf(n));
-        std::lock_guard<std::mutex> lock(sh.mu);
-        sh.weak_output.RemoveNode(n);
-      }
+      shard(cs_.HostScheduleOf(n)).weak_output.RemoveNode(n);
       const NodeId parent = node.parent;
       ScheduleShard& sh = shard(cs_.node(parent).owner_schedule);
-      std::lock_guard<std::mutex> lock(sh.mu);
       if (auto it = sh.weak_intra.find(parent); it != sh.weak_intra.end()) {
         it->second.RemoveNode(n);
       }
@@ -522,24 +466,6 @@ void Certifier::RemoveSubtree(const std::vector<NodeId>& subtree) {
 
 size_t Certifier::PruneLocked() {
   events_since_prune_ = 0;
-  if (mode_ == Mode::kStatic) {
-    // No derived per-node state exists to free; mark the sealed window
-    // pruned so live_nodes reports the same O(window) envelope as a
-    // dynamic session (the append-only cs_ is excluded either way).
-    size_t removed = 0;
-    for (NodeId root : unpruned_sealed_) {
-      MarkPruned(root);
-      ++removed;
-      for (NodeId d : cs_.Descendants(root)) {
-        MarkPruned(d);
-        ++removed;
-      }
-      ++pruned_root_count_;
-    }
-    unpruned_sealed_.clear();
-    if (removed > 0) ++prune_passes_;
-    return removed;
-  }
   // Once failed, keep everything: the failure evidence (a cycle in some
   // maintained graph) must survive rebuilds, and pruning is only a memory
   // optimization for live sessions anyway.
@@ -578,160 +504,22 @@ size_t Certifier::Prune() {
   return PruneLocked();
 }
 
-void Certifier::FallbackLocked() {
-  fallback_wanted_ = false;
-  if (mode_ != Mode::kStatic) return;
-  // Rebuild full dynamic state by replaying the accumulated system, the
-  // exact discipline of a durability restore (online/state_io.cc): replay
-  // the SaveTrace event order — every derived structure is a monotone
-  // function of the facts, so order is irrelevant — then re-seal in the
-  // original seal order, then prune.  The stream counters and watermark
-  // describe the original stream, not the replay, so they are preserved.
-  auto trace = workload::SaveTrace(cs_);
-  if (!trace.ok()) return;  // unserializable system: stay static.
-  auto events = workload::ParseTraceEvents(*trace);
-  if (!events.ok()) return;
-  const std::vector<NodeId> sealed = sealed_roots_;
-  const uint64_t accepted = events_accepted_;
-  const uint64_t rejected = events_rejected_;
-  const uint64_t watermark = commit_watermark_;
-
-  mode_ = Mode::kDynamic;
-  cs_ = CompositeSystem();
-  shards_.clear();
-  invokes_.clear();
-  schedule_levels_.clear();
-  order_ = 0;
-  roots_.clear();
-  node_flags_.clear();
-  sealed_node_count_ = pruned_node_count_ = pruned_root_count_ = 0;
-  sealed_roots_.clear();
-  unpruned_sealed_.clear();
-  commit_watermark_ = 0;
-  engine_.Reset(&cs_, {}, 0, options_.forgetting);
-  for (const TraceEvent& event : *events) {
-    (void)IngestLocked(event);  // replay of accepted history: cannot fail.
-  }
-  for (NodeId root : sealed) {
-    TraceEvent commit;
-    commit.kind = TraceEventKind::kCommit;
-    commit.parent = root.index();
-    (void)IngestLocked(commit);
-  }
-  PruneLocked();
-  events_accepted_ = accepted;
-  events_rejected_ = rejected;
-  commit_watermark_ = watermark;
-  analysis_cached_at_ = ~uint64_t{0};
-  ++static_fallback_count_;
-}
-
-void Certifier::RefreshAnalysisLocked() const {
-  if (analysis_cached_at_ == events_accepted_) return;
-  analysis_cached_at_ = events_accepted_;
-  ++static_analysis_count_;
-  staticcheck::AnalyzerOptions opts;
-  opts.explain = false;  // verdict only; no per-scheduler rows needed.
-  const staticcheck::StaticAnalysis analysis =
-      staticcheck::AnalyzeConfiguration(cs_, opts);
-  analysis_exact_ = false;
-  analysis_certifiable_ = true;
-  analysis_failure_.reset();
-  if (analysis.well_formed &&
-      analysis.verdict == staticcheck::SafetyVerdict::kSafe) {
-    analysis_exact_ = true;
-  } else if (analysis.well_formed &&
-             analysis.verdict == staticcheck::SafetyVerdict::kUnsafe) {
-    analysis_exact_ = true;
-    analysis_certifiable_ = false;
-    if (analysis.witness) {
-      OnlineFailure failure;
-      failure.step = OnlineFailure::Step::kConflictConsistency;
-      failure.witness = analysis.witness->nodes;
-      failure.description = analysis.witness->description;
-      analysis_failure_ = std::move(failure);
-    }
-  }
-  if (mode_ == Mode::kParanoid) {
-    // The dynamic answer stays authoritative; an exact analyzer verdict
-    // that disagrees is a bug in one of the two and is counted (once per
-    // refresh — the cache keys on the accepted-event count).
-    if (analysis_exact_ && analysis_certifiable_ != engine_.certifiable()) {
-      ++paranoid_mismatch_count_;
-    }
-    return;
-  }
-  if (analysis_exact_) return;
-  // NEEDS_DYNAMIC, or a prefix still violating the completeness rules of
-  // Defs 3-4.  Answer with batch CheckCompC (validation off, as always
-  // for prefixes).  Only a well-formed system proves the *configuration*
-  // defeats static reasoning; that asks for the one-time dynamic
-  // fallback — an incomplete prefix is transient and does not.
-  if (analysis.well_formed) fallback_wanted_ = true;
-  ReductionOptions ropts;
-  ropts.validate = false;
-  ropts.keep_fronts = false;
-  ropts.forgetting = options_.forgetting;
-  auto result = CheckCompC(cs_, ropts);
-  if (!result.ok()) {
-    analysis_certifiable_ = false;
-    OnlineFailure failure;
-    failure.description = StrCat("batch check failed: ",
-                                 result.status().message());
-    analysis_failure_ = std::move(failure);
-    return;
-  }
-  analysis_certifiable_ = result->correct;
-  if (!result->correct && result->failure) {
-    analysis_failure_ = FailureFromReduction(*result->failure);
-  }
-}
-
 CertifierVerdict Certifier::Verdict() const {
   std::lock_guard<std::mutex> lock(mu_);
   CertifierVerdict verdict;
   verdict.order = order_;
-  if (mode_ == Mode::kStatic) {
-    RefreshAnalysisLocked();
-    verdict.certifiable = analysis_certifiable_;
-    verdict.failure = analysis_failure_;
-    verdict.static_decided = true;
-    return verdict;
-  }
   verdict.certifiable = engine_.certifiable();
   verdict.failure = engine_.failure();
-  if (mode_ == Mode::kParanoid) RefreshAnalysisLocked();
   return verdict;
 }
 
 bool Certifier::Certifiable() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (mode_ == Mode::kStatic) {
-    RefreshAnalysisLocked();
-    return analysis_certifiable_;
-  }
-  if (mode_ == Mode::kParanoid) RefreshAnalysisLocked();
   return engine_.certifiable();
 }
 
 std::vector<NodeId> Certifier::SerialWitness() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (mode_ == Mode::kStatic) {
-    // No maintained topological order exists; derive a witness from the
-    // batch procedure on demand (this is a diagnostic path, not the hot
-    // path).
-    ReductionOptions ropts;
-    ropts.validate = false;
-    ropts.keep_fronts = false;
-    ropts.forgetting = options_.forgetting;
-    auto result = CheckCompC(cs_, ropts);
-    if (!result.ok() || !result->correct) return {};
-    std::vector<NodeId> out;
-    for (NodeId r : result->serial_order) {
-      if (!IsPruned(r)) out.push_back(r);
-    }
-    return out;
-  }
   if (!engine_.certifiable()) return {};
   std::vector<NodeId> roots;
   for (NodeId r : roots_) {
@@ -757,20 +545,17 @@ CertifierStats Certifier::Stats() const {
   stats.observed_pairs = engine_.ObservedPairCount();
   stats.cc_edges = engine_.CcEdgeCount();
   stats.calc_edges = engine_.CalcEdgeCount();
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> shard_lock(sh->mu);
-    stats.closure_pairs += sh->weak_output.PairCount() +
-                           sh->weak_input.PairCount() +
-                           sh->strong_input.PairCount();
-    for (const auto& [p, c] : sh->weak_intra) stats.closure_pairs += c.PairCount();
-    for (const auto& [p, c] : sh->strong_intra) {
+  for (const ScheduleShard& sh : shards_) {
+    stats.closure_pairs += sh.weak_output.PairCount() +
+                           sh.weak_input.PairCount() +
+                           sh.strong_input.PairCount();
+    for (const auto& [p, c] : sh.weak_intra) {
+      stats.closure_pairs += c.PairCount();
+    }
+    for (const auto& [p, c] : sh.strong_intra) {
       stats.closure_pairs += c.PairCount();
     }
   }
-  stats.static_mode = mode_ == Mode::kStatic;
-  stats.static_analyses = static_analysis_count_;
-  stats.static_fallbacks = static_fallback_count_;
-  stats.paranoid_mismatches = paranoid_mismatch_count_;
   return stats;
 }
 

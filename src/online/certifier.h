@@ -2,7 +2,6 @@
 #define COMPTX_ONLINE_CERTIFIER_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -28,28 +27,6 @@ struct CertifierOptions {
 
   /// Prune automatically on Commit() and at epoch boundaries.
   bool auto_prune = true;
-
-  /// Static-analysis admission (DESIGN.md §13.4): skip the dynamic
-  /// certification machinery entirely and decide verdicts with the PR 4
-  /// whole-configuration analyzer.  Ingest then only maintains the
-  /// composite system and the seal bookkeeping — per-event cost drops to
-  /// the cs_ append — and Verdict() lazily analyzes the current system.
-  /// A SAFE or UNSAFE analysis is exact; a NEEDS_DYNAMIC analysis of a
-  /// well-formed system flags the session for a one-time irreversible
-  /// fallback to the dynamic engine (performed by the next Ingest), with
-  /// the interim verdict answered by batch CheckCompC.
-  ///
-  /// The analyzer verdict is exact only under the paper's semantics
-  /// (forgetting enabled), so this flag is ignored when `forgetting` is
-  /// false — such sessions always run dynamically.
-  bool static_admission = false;
-
-  /// Cross-check mode: run the full dynamic machinery as usual AND the
-  /// static analyzer at every (cache-missing) Verdict, counting
-  /// disagreements in CertifierStats::paranoid_mismatches.  The dynamic
-  /// answer stays authoritative.  Implies nothing about static_admission;
-  /// when both are set, paranoid wins (the session runs dynamically).
-  bool paranoid = false;
 };
 
 /// The answer to "is the execution ingested so far still certifiable?".
@@ -63,9 +40,6 @@ struct CertifierVerdict {
   bool certifiable = true;
   uint32_t order = 0;
   std::optional<OnlineFailure> failure;
-  /// True when the answer came from the static analyzer (or batch
-  /// CheckCompC while awaiting fallback) rather than the dynamic engine.
-  bool static_decided = false;
 };
 
 struct CertifierStats {
@@ -81,10 +55,6 @@ struct CertifierStats {
   size_t cc_edges = 0;
   size_t calc_edges = 0;
   size_t closure_pairs = 0;
-  bool static_mode = false;       // currently skipping dynamic certification
-  uint64_t static_analyses = 0;   // analyzer runs (static + paranoid)
-  uint64_t static_fallbacks = 0;  // one-time static -> dynamic switches
-  uint64_t paranoid_mismatches = 0;  // analyzer/engine disagreements
 };
 
 /// An online, incremental Comp-C certifier session.
@@ -98,7 +68,7 @@ struct CertifierStats {
 /// far below re-running batch CheckCompC on every prefix:
 ///
 ///   - per-schedule transitive closures are maintained incrementally and
-///     emit only newly closed pairs (sharded, one small lock per schedule);
+///     emit only newly closed pairs (one shard per schedule);
 ///   - each new fact is routed to the affected front levels, where
 ///     acyclicity is maintained by incremental topological ordering
 ///     (Pearce-Kelly) rather than full DFS;
@@ -126,10 +96,9 @@ struct CertifierStats {
 /// per session, each drained by one worker at a time).  Within one
 /// instance, Ingest/IngestBatch/Commit/Prune and the verdict readers
 /// (Verdict/Certifiable/SerialWitness/Stats) serialize on the session
-/// lock `mu_`; the per-schedule shard locks additionally protect closure
-/// state so concurrent readers see consistent shards while an ingest is
-/// in flight.  Two caveats define the supported contract, enforced by
-/// ServiceStress/CertifierConcurrency tests:
+/// lock `mu_`, which also guards every per-schedule shard.  Two caveats
+/// define the supported contract, enforced by ServiceStress/
+/// CertifierConcurrency tests:
 ///   * concurrent *writers* are safe but pointless — events interleave in
 ///     an unspecified order, and a stream's meaning depends on its order,
 ///     so keep one ingesting thread per instance (readers are free);
@@ -176,17 +145,18 @@ class Certifier {
   /// replays commits through Ingest.
   std::vector<NodeId> SealedRoots() const;
 
-  /// Overwrites the stream counters.  Recovery-only: a restored session
-  /// must report the original stream's accepted/rejected totals, not the
+  /// Overwrites the stream counters and the commit watermark.  Recovery-
+  /// only: a restored session must report the original stream's
+  /// accepted/rejected totals and commit_through watermark, not the
   /// replay's (the replay ingests only the accepted history plus
-  /// synthesized commit events).
-  void RestoreCounters(uint64_t accepted, uint64_t rejected);
+  /// synthesized commit events).  Every root below `commit_watermark` must
+  /// already be sealed, so a later commit_through resumes from there.
+  void RestoreCounters(uint64_t accepted, uint64_t rejected,
+                       uint64_t commit_watermark);
 
   /// While certifiable: live (unpruned) roots in a serializable order,
   /// read off the maintained topological order of the top-level front
-  /// (Theorem 1).  Empty when not certifiable.  Static-admission
-  /// sessions maintain no topological order; they derive the witness
-  /// from batch CheckCompC on demand (a diagnostic path, not hot).
+  /// (Theorem 1).  Empty when not certifiable.
   std::vector<NodeId> SerialWitness() const;
 
   CertifierStats Stats() const;
@@ -198,24 +168,14 @@ class Certifier {
  private:
   /// Per-schedule shard: the incrementally maintained transitive closures
   /// of that schedule's orders, plus the intra-transaction closures of the
-  /// transactions it owns.  `mu` guards all of them.
+  /// transactions it owns.  Guarded by the session lock `mu_`.
   struct ScheduleShard {
-    mutable std::mutex mu;
     IncrementalClosure weak_output;
     IncrementalClosure weak_input;
     IncrementalClosure strong_input;
     std::unordered_map<NodeId, IncrementalClosure> weak_intra;
     std::unordered_map<NodeId, IncrementalClosure> strong_intra;
   };
-
-  /// How verdicts are produced.  kStatic sessions maintain only cs_ and
-  /// the seal bookkeeping; a NEEDS_DYNAMIC analysis of a well-formed
-  /// system downgrades them (once, irreversibly) to kDynamic via
-  /// FallbackLocked.  kParanoid is kDynamic plus an analyzer cross-check
-  /// at Verdict time.
-  enum class Mode : uint8_t { kDynamic, kStatic, kParanoid };
-
-  bool DynamicActive() const { return mode_ != Mode::kStatic; }
 
   Status IngestLocked(const workload::TraceEvent& event);
   Status CheckNotSealed(NodeId id) const;
@@ -243,33 +203,21 @@ class Certifier {
   bool CanPrune(const std::vector<NodeId>& subtree) const;
   void RemoveSubtree(const std::vector<NodeId>& subtree);
 
-  /// One-time static -> dynamic switch: rebuilds the full dynamic state
-  /// by replaying the accumulated system through a fresh self (the
-  /// state_io restore discipline: SaveTrace order, then re-seal, then
-  /// prune).  Stream counters and the commit watermark survive.
-  void FallbackLocked();
-
-  /// Lazily (re)runs the static analyzer against the current system;
-  /// cached by events_accepted_.  Used by kStatic verdicts and kParanoid
-  /// cross-checks.  Must be called with mu_ held.
-  void RefreshAnalysisLocked() const;
-
   // Seal/prune bit accessors (node_flags_ is indexed by NodeId::index()).
   bool IsSealed(NodeId id) const;
   bool IsPruned(NodeId id) const;
   void MarkSealed(NodeId id);
   void MarkPruned(NodeId id);
 
-  ScheduleShard& shard(ScheduleId s) { return *shards_[s.index()]; }
-  const ScheduleShard& shard(ScheduleId s) const { return *shards_[s.index()]; }
+  ScheduleShard& shard(ScheduleId s) { return shards_[s.index()]; }
+  const ScheduleShard& shard(ScheduleId s) const { return shards_[s.index()]; }
 
   const CertifierOptions options_;
-  Mode mode_ = Mode::kDynamic;
 
-  mutable std::mutex mu_;  // session lock: cs_, engine_, levels, seals.
+  mutable std::mutex mu_;  // session lock: cs_, engine_, shards, seals.
   CompositeSystem cs_;
   OnlineFrontEngine engine_;
-  std::vector<std::unique_ptr<ScheduleShard>> shards_;
+  std::vector<ScheduleShard> shards_;
 
   /// Schedule invocation adjacency (edge = host schedule invokes the
   /// subtransaction's schedule), kept for the recursion pre-check and the
@@ -320,17 +268,6 @@ class Certifier {
   uint64_t rebuilds_ = 0;
   uint64_t prune_passes_ = 0;
   uint32_t events_since_prune_ = 0;
-  uint64_t static_fallback_count_ = 0;
-
-  // Static-analysis cache and cross-check state; mutated by const verdict
-  // readers under mu_, hence mutable.
-  mutable uint64_t analysis_cached_at_ = ~uint64_t{0};
-  mutable bool analysis_certifiable_ = true;
-  mutable bool analysis_exact_ = false;  // SAFE/UNSAFE on well-formed input
-  mutable std::optional<OnlineFailure> analysis_failure_;
-  mutable bool fallback_wanted_ = false;
-  mutable uint64_t static_analysis_count_ = 0;
-  mutable uint64_t paranoid_mismatch_count_ = 0;
 };
 
 }  // namespace comptx::online

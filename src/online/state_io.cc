@@ -16,6 +16,7 @@ StatusOr<CertifierState> CaptureCertifierState(const Certifier& certifier) {
   const CertifierStats stats = certifier.Stats();
   state.accepted = stats.events_accepted;
   state.rejected = stats.events_rejected;
+  state.commit_watermark = stats.commit_watermark;
   state.certifiable = certifier.Certifiable();
   return state;
 }
@@ -42,10 +43,11 @@ StatusOr<std::unique_ptr<Certifier>> RestoreCertifierState(
     }
   }
   if (options.auto_prune) certifier->Prune();
-  // Commit() above routed through Ingest and bumped the accepted counter;
-  // overwrite both counters last so the restored session reports the
-  // original stream's totals.
-  certifier->RestoreCounters(state.accepted, state.rejected);
+  // Commit() above routed through Ingest and bumped the accepted counter,
+  // and re-sealing by root leaves the watermark at 0; overwrite all three
+  // last so the restored session reports the original stream's values.
+  certifier->RestoreCounters(state.accepted, state.rejected,
+                             state.commit_watermark);
   if (certifier->Certifiable() != state.certifiable) {
     return Status::Internal(
         "restored verdict disagrees with captured verdict (state image "

@@ -25,6 +25,7 @@ struct CertifierState {
   std::vector<uint32_t> sealed;    // sealed root indices, in seal order
   uint64_t accepted = 0;           // stream counters at capture time
   uint64_t rejected = 0;
+  uint64_t commit_watermark = 0;   // highest commit_through at capture time
   bool certifiable = true;         // verdict at capture time (restore check)
 };
 
@@ -35,11 +36,11 @@ StatusOr<CertifierState> CaptureCertifierState(const Certifier& certifier);
 
 /// Rebuilds a certifier from a captured state: replays the trace events,
 /// re-seals the recorded roots, prunes (when `options.auto_prune`), and
-/// restores the stream counters.  Fails with kInternal when the replay
-/// rejects an event or the rebuilt verdict disagrees with the recorded
-/// one — either means the state image is corrupt or the replay-
-/// equivalence property was broken, and a recovering server must not
-/// serve such a session silently.
+/// restores the stream counters and the commit watermark.  Fails with
+/// kInternal when the replay rejects an event or the rebuilt verdict
+/// disagrees with the recorded one — either means the state image is
+/// corrupt or the replay-equivalence property was broken, and a
+/// recovering server must not serve such a session silently.
 StatusOr<std::unique_ptr<Certifier>> RestoreCertifierState(
     const CertifierState& state, const CertifierOptions& options);
 

@@ -39,24 +39,6 @@ StatusOr<Response> ServiceClient::Command(CommandKind kind, uint64_t session,
   return Transport(request);
 }
 
-SessionVerdict ServiceClient::VerdictFrom(const Response& response) {
-  SessionVerdict verdict;
-  verdict.session = response.FieldInt("session");
-  verdict.certifiable = response.FieldInt("certifiable") == 1;
-  verdict.order = static_cast<uint32_t>(response.FieldInt("order"));
-  verdict.events_accepted = response.FieldInt("accepted");
-  verdict.events_rejected = response.FieldInt("rejected");
-  verdict.live_nodes = response.FieldInt("live_nodes");
-  verdict.pruned_nodes = response.FieldInt("pruned_nodes");
-  verdict.sealed_roots = response.FieldInt("sealed_roots");
-  verdict.commit_watermark = response.FieldInt("commit_watermark");
-  verdict.static_mode = response.FieldInt("static_mode") == 1;
-  verdict.static_fallbacks = response.FieldInt("static_fallbacks");
-  verdict.paranoid_mismatches = response.FieldInt("paranoid_mismatches");
-  verdict.failure = response.body;
-  return verdict;
-}
-
 StatusOr<uint64_t> ServiceClient::Open(const std::string& options) {
   Request request;
   request.kind = CommandKind::kOpen;
@@ -80,7 +62,7 @@ StatusOr<SessionVerdict> ServiceClient::Query(uint64_t session) {
   request.kind = CommandKind::kQuery;
   request.session = session;
   COMPTX_ASSIGN_OR_RETURN(Response response, RoundTrip(request));
-  return VerdictFrom(response);
+  return VerdictFromResponse(response);
 }
 
 StatusOr<SessionVerdict> ServiceClient::Close(uint64_t session) {
@@ -88,7 +70,7 @@ StatusOr<SessionVerdict> ServiceClient::Close(uint64_t session) {
   request.kind = CommandKind::kClose;
   request.session = session;
   COMPTX_ASSIGN_OR_RETURN(Response response, RoundTrip(request));
-  return VerdictFrom(response);
+  return VerdictFromResponse(response);
 }
 
 StatusOr<std::string> ServiceClient::Stats(bool json) {

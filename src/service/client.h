@@ -66,7 +66,6 @@ class ServiceClient {
 
   StatusOr<Response> RoundTrip(const Request& request);
   StatusOr<Response> Transport(const Request& request);
-  static SessionVerdict VerdictFrom(const Response& response);
 
   Socket socket_;
   WireProtocol protocol_ = WireProtocol::kV1;

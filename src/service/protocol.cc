@@ -269,6 +269,39 @@ Response ErrorResponse(const std::string& code, const std::string& message) {
   return response;
 }
 
+void AppendVerdictFields(const SessionVerdict& verdict, Response& response) {
+  response.fields.emplace_back("session", StrCat(verdict.session));
+  response.fields.emplace_back("certifiable",
+                               verdict.certifiable ? "1" : "0");
+  response.fields.emplace_back("order", StrCat(verdict.order));
+  response.fields.emplace_back("accepted", StrCat(verdict.events_accepted));
+  response.fields.emplace_back("rejected", StrCat(verdict.events_rejected));
+  // Window observability (new fields append after the existing ones, so
+  // v1 clients that read positionally keep working).
+  response.fields.emplace_back("live_nodes", StrCat(verdict.live_nodes));
+  response.fields.emplace_back("pruned_nodes", StrCat(verdict.pruned_nodes));
+  response.fields.emplace_back("sealed_roots", StrCat(verdict.sealed_roots));
+  response.fields.emplace_back("commit_watermark",
+                               StrCat(verdict.commit_watermark));
+  // The failure diagnosis contains spaces, so it travels in the body.
+  if (!verdict.failure.empty()) response.body = verdict.failure;
+}
+
+SessionVerdict VerdictFromResponse(const Response& response) {
+  SessionVerdict verdict;
+  verdict.session = response.FieldInt("session");
+  verdict.certifiable = response.FieldInt("certifiable") == 1;
+  verdict.order = static_cast<uint32_t>(response.FieldInt("order"));
+  verdict.events_accepted = response.FieldInt("accepted");
+  verdict.events_rejected = response.FieldInt("rejected");
+  verdict.live_nodes = response.FieldInt("live_nodes");
+  verdict.pruned_nodes = response.FieldInt("pruned_nodes");
+  verdict.sealed_roots = response.FieldInt("sealed_roots");
+  verdict.commit_watermark = response.FieldInt("commit_watermark");
+  verdict.failure = response.body;
+  return verdict;
+}
+
 namespace {
 
 Status WriteAll(int fd, const char* data, size_t size) {

@@ -182,6 +182,29 @@ StatusOr<Response> ParseResponse(const std::string& payload);
 Response OkResponse();
 Response ErrorResponse(const std::string& code, const std::string& message);
 
+/// Verdict + lifetime counters returned by QUERY / CLOSE.
+struct SessionVerdict {
+  uint64_t session = 0;
+  bool certifiable = false;
+  uint32_t order = 0;
+  uint64_t events_accepted = 0;
+  uint64_t events_rejected = 0;
+  // Window observability (DESIGN.md §13): how much state the session
+  // actually holds vs. how much of its history is sealed and reclaimed.
+  uint64_t live_nodes = 0;
+  uint64_t pruned_nodes = 0;
+  uint64_t sealed_roots = 0;
+  uint64_t commit_watermark = 0;
+  std::string failure;  // empty while certifiable
+};
+
+/// The one verdict codec of the QUERY/CLOSE reply: the server encodes
+/// with AppendVerdictFields, and both the wire client and the server's
+/// in-process Query/Close decode with VerdictFromResponse, so a field
+/// added to one side cannot be dropped by the other.
+void AppendVerdictFields(const SessionVerdict& verdict, Response& response);
+SessionVerdict VerdictFromResponse(const Response& response);
+
 /// Blocking frame I/O on a connected socket.  WriteFrame sends prefix and
 /// payload; ReadFrame returns the payload, NotFound on clean EOF at a
 /// frame boundary, and an error for truncation, oversize or a malformed

@@ -45,34 +45,6 @@ Response StatusResponse(const Status& status) {
   return ErrorResponse(ErrorCode(status), status.message());
 }
 
-void AppendVerdictFields(const SessionVerdict& verdict, Response& response) {
-  response.fields.emplace_back("session", StrCat(verdict.session));
-  response.fields.emplace_back("certifiable",
-                               verdict.certifiable ? "1" : "0");
-  response.fields.emplace_back("order", StrCat(verdict.order));
-  response.fields.emplace_back("accepted", StrCat(verdict.events_accepted));
-  response.fields.emplace_back("rejected", StrCat(verdict.events_rejected));
-  // Window observability (new fields append after the existing ones, so
-  // v1 clients that read positionally keep working).
-  response.fields.emplace_back("live_nodes", StrCat(verdict.live_nodes));
-  response.fields.emplace_back("pruned_nodes", StrCat(verdict.pruned_nodes));
-  response.fields.emplace_back("sealed_roots", StrCat(verdict.sealed_roots));
-  response.fields.emplace_back("commit_watermark",
-                               StrCat(verdict.commit_watermark));
-  if (verdict.static_mode || verdict.static_fallbacks > 0) {
-    response.fields.emplace_back("static_mode",
-                                 verdict.static_mode ? "1" : "0");
-    response.fields.emplace_back("static_fallbacks",
-                                 StrCat(verdict.static_fallbacks));
-  }
-  if (verdict.paranoid_mismatches > 0) {
-    response.fields.emplace_back("paranoid_mismatches",
-                                 StrCat(verdict.paranoid_mismatches));
-  }
-  // The failure diagnosis contains spaces, so it travels in the body.
-  if (!verdict.failure.empty()) response.body = verdict.failure;
-}
-
 /// The ORDER_STREAM commands carry "key=value ..." options like OPEN.
 struct StreamOptions {
   uint64_t from = 1;
@@ -149,8 +121,7 @@ CertificationServer::CertificationServer(const ServerOptions& options)
     : options_(options),
       durability_(StartDurability(options.durability, &metrics_.durability,
                                   &init_status_)),
-      sessions_(options.max_sessions, &metrics_, durability_.get()),
-      pool_(std::make_unique<ThreadPool>(std::max<size_t>(1, options.workers))) {
+      sessions_(options.max_sessions, &metrics_, durability_.get()) {
   // Recover before anything serves or ticks: the table must hold every
   // crashed-but-live session before the first OPEN can reuse an id and
   // before the eviction sweep can observe a half-built table.
@@ -166,9 +137,10 @@ CertificationServer::CertificationServer(const ServerOptions& options)
     }
   }
   const size_t workers = std::max<size_t>(1, options_.workers);
-  pool_host_ = std::thread([this, workers] {
-    pool_->ParallelFor(workers, [this](size_t) { WorkerLoop(); });
-  });
+  workers_.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
   if (options_.idle_timeout_ms > 0 || options_.stats_interval_ms > 0) {
     ticker_ = std::thread([this] { TickerLoop(); });
   }
@@ -515,42 +487,25 @@ Status CertificationServer::Append(uint64_t session,
   return Status::OK();
 }
 
-StatusOr<SessionVerdict> CertificationServer::Query(uint64_t session) {
+StatusOr<SessionVerdict> CertificationServer::VerdictCommand(
+    CommandKind kind, uint64_t session) {
   Request request;
-  request.kind = CommandKind::kQuery;
+  request.kind = kind;
   request.session = session;
   const Response response = Handle(request);
   if (!response.ok) {
     return Status::Internal(
         StrCat(response.error_code, ": ", response.error_message));
   }
-  SessionVerdict verdict;
-  verdict.session = response.FieldInt("session");
-  verdict.certifiable = response.FieldInt("certifiable") == 1;
-  verdict.order = static_cast<uint32_t>(response.FieldInt("order"));
-  verdict.events_accepted = response.FieldInt("accepted");
-  verdict.events_rejected = response.FieldInt("rejected");
-  verdict.failure = response.body;
-  return verdict;
+  return VerdictFromResponse(response);
+}
+
+StatusOr<SessionVerdict> CertificationServer::Query(uint64_t session) {
+  return VerdictCommand(CommandKind::kQuery, session);
 }
 
 StatusOr<SessionVerdict> CertificationServer::Close(uint64_t session) {
-  Request request;
-  request.kind = CommandKind::kClose;
-  request.session = session;
-  const Response response = Handle(request);
-  if (!response.ok) {
-    return Status::Internal(
-        StrCat(response.error_code, ": ", response.error_message));
-  }
-  SessionVerdict verdict;
-  verdict.session = response.FieldInt("session");
-  verdict.certifiable = response.FieldInt("certifiable") == 1;
-  verdict.order = static_cast<uint32_t>(response.FieldInt("order"));
-  verdict.events_accepted = response.FieldInt("accepted");
-  verdict.events_rejected = response.FieldInt("rejected");
-  verdict.failure = response.body;
-  return verdict;
+  return VerdictCommand(CommandKind::kClose, session);
 }
 
 // ---- network front end ----------------------------------------------
@@ -640,7 +595,7 @@ void CertificationServer::Shutdown() {
     stop_workers_ = true;
     run_cv_.notify_all();
   }
-  if (pool_host_.joinable()) pool_host_.join();
+  for (std::thread& worker : workers_) worker.join();
 
   // 4. Tear down the network.  EventLoop::Stop is graceful: it stops
   //    accepting and reading, lets the handler pool answer every request

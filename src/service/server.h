@@ -17,7 +17,7 @@
 #include "service/protocol.h"
 #include "service/session_manager.h"
 #include "service/socket.h"
-#include "util/thread_pool.h"
+#include "util/thread_pool.h"  // DefaultThreadCount
 
 namespace comptx::service {
 
@@ -69,10 +69,10 @@ struct ServerOptions {
 /// in-process tests, the stress suite and bench_service call Handle
 /// directly.  Inside, an OPEN admits a session (SessionManager), APPEND
 /// enqueues events into the session's bounded queue and hands the session
-/// to the run queue, and the worker pool (util/thread_pool hosting
-/// `workers` resident loops) drains scheduled sessions batch by batch
-/// through their online certifiers.  QUERY/CLOSE are drain barriers: they
-/// wait for the session's queue to empty, then read the verdict.
+/// to the run queue, and `workers` plain worker threads drain scheduled
+/// sessions batch by batch through their online certifiers.  QUERY/CLOSE
+/// are drain barriers: they wait for the session's queue to empty, then
+/// read the verdict.
 ///
 /// Shutdown() is graceful: new work is refused, every live session drains
 /// through the still-running workers, then the workers, ticker and
@@ -169,6 +169,9 @@ class CertificationServer {
   Response HandleSubscribe(const Request& request);
   Response HandleStream(const Request& request);
 
+  /// QUERY or CLOSE through Handle, decoded by the shared verdict codec.
+  StatusOr<SessionVerdict> VerdictCommand(CommandKind kind, uint64_t session);
+
   const ServerOptions options_;
   ServiceMetrics metrics_;
   DistributedHandler distributed_handler_;
@@ -187,11 +190,8 @@ class CertificationServer {
   std::deque<std::shared_ptr<Session>> run_queue_;
   bool stop_workers_ = false;
 
-  // The worker pool: a util/thread_pool whose ParallelFor hosts one
-  // resident WorkerLoop per worker; pool_host_ is the caller thread that
-  // parks inside ParallelFor until shutdown.
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread pool_host_;
+  // One WorkerLoop per thread, joined by Shutdown.
+  std::vector<std::thread> workers_;
 
   std::thread ticker_;  // idle eviction + periodic stats line
   std::mutex ticker_mu_;

@@ -69,12 +69,6 @@ StatusOr<SessionOptions> ParseSessionOptions(const std::string& text,
         return Status::InvalidArgument("queue_capacity must be positive");
       }
       options.queue_capacity = static_cast<size_t>(parsed);
-    } else if (key == "static_admission") {
-      COMPTX_ASSIGN_OR_RETURN(options.certifier.static_admission,
-                              ParseBool(key, value));
-    } else if (key == "paranoid") {
-      COMPTX_ASSIGN_OR_RETURN(options.certifier.paranoid,
-                              ParseBool(key, value));
     } else if (key == "resume") {
       COMPTX_ASSIGN_OR_RETURN(options.resume, ParseUint(key, value));
       if (options.resume == 0) {
@@ -342,9 +336,6 @@ SessionVerdict Session::Verdict() const {
   out.pruned_nodes = stats.pruned_nodes;
   out.sealed_roots = stats.sealed_roots;
   out.commit_watermark = stats.commit_watermark;
-  out.static_mode = stats.static_mode;
-  out.static_fallbacks = stats.static_fallbacks;
-  out.paranoid_mismatches = stats.paranoid_mismatches;
   if (!verdict.certifiable && verdict.failure.has_value()) {
     out.failure = StrCat("level ", verdict.failure->level, " ",
                          StepName(verdict.failure->step), ": ",

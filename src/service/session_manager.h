@@ -16,6 +16,7 @@
 #include "durability/manager.h"
 #include "online/certifier.h"
 #include "service/metrics.h"
+#include "service/protocol.h"
 #include "util/status_or.h"
 #include "workload/trace.h"
 
@@ -48,29 +49,9 @@ struct SessionOptions {
 };
 
 /// Parses "key=value ..." OPEN options (forgetting, epoch_interval,
-/// auto_prune, static_admission, paranoid, queue_capacity, resume,
-/// stream) over `defaults`.
+/// auto_prune, queue_capacity, resume, stream) over `defaults`.
 StatusOr<SessionOptions> ParseSessionOptions(const std::string& text,
                                              const SessionOptions& defaults);
-
-/// Verdict + lifetime counters returned by QUERY / CLOSE.
-struct SessionVerdict {
-  uint64_t session = 0;
-  bool certifiable = false;
-  uint32_t order = 0;
-  uint64_t events_accepted = 0;
-  uint64_t events_rejected = 0;
-  // Window observability (DESIGN.md §13): how much state the session
-  // actually holds vs. how much of its history is sealed and reclaimed.
-  uint64_t live_nodes = 0;
-  uint64_t pruned_nodes = 0;
-  uint64_t sealed_roots = 0;
-  uint64_t commit_watermark = 0;
-  bool static_mode = false;
-  uint64_t static_fallbacks = 0;
-  uint64_t paranoid_mismatches = 0;
-  std::string failure;  // empty while certifiable
-};
 
 /// One STREAM fetch's result: events carry stream sequence numbers
 /// `from`, `from+1`, ... contiguously; `watermark` is the highest stream

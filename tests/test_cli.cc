@@ -324,6 +324,17 @@ TEST(VersionHelpCliTest, EveryToolAnswersHelpWithExitZero) {
   }
 }
 
+// The certifier has one verdict path; the removed mode flags are unknown
+// flags like any other.
+TEST(ServeCliTest, RemovedCertifierModeFlagsAreUsageErrors) {
+  for (const char* flag : {" --static-admission", " --paranoid"}) {
+    RunResult r = RunCli(StrCat(COMPTX_SERVE_BIN, flag));
+    EXPECT_EQ(r.exit_code, 2) << flag;
+    EXPECT_TRUE(Contains(r.stderr_text, "usage")) << flag << ": "
+                                                  << r.stderr_text;
+  }
+}
+
 TEST(ShrinkCliTest, InjectedCampaignWritesReplayableWitnesses) {
   const std::filesystem::path corpus = Scratch() / "cli_corpus";
   RunResult campaign =

@@ -252,12 +252,42 @@ TEST(CertificationServerTest, AdmissionControlRefusesBeyondMaxSessions) {
 
 TEST(CertificationServerTest, BadSessionOptionsAreABadRequest) {
   CertificationServer server(ServerOptions{});
-  Request open;
-  open.kind = CommandKind::kOpen;
-  open.options = "queue_capacity=banana";
-  Response response = server.Handle(open);
-  EXPECT_FALSE(response.ok);
-  EXPECT_EQ(response.error_code, "bad_request");
+  // The last two name certifier modes that no longer exist.
+  for (const char* options :
+       {"queue_capacity=banana", "static_admission=1", "paranoid=1"}) {
+    Request open;
+    open.kind = CommandKind::kOpen;
+    open.options = options;
+    Response response = server.Handle(open);
+    EXPECT_FALSE(response.ok) << options;
+    EXPECT_EQ(response.error_code, "bad_request") << options;
+  }
+  server.Shutdown();
+}
+
+// The in-process Query/Close decode the reply with the same codec as the
+// wire client, so the window fields survive too.
+TEST(CertificationServerTest, InProcessVerdictCarriesTheWindowFields) {
+  ServerOptions options;
+  options.workers = 1;
+  CertificationServer server(options);
+  auto events = GeneratedEvents(8, 103);
+  workload::TraceEvent mark;
+  mark.kind = workload::TraceEventKind::kCommitThrough;
+  mark.a = 3;
+  events.push_back(mark);
+  auto session = server.Open();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(server.Append(*session, events).ok());
+  auto verdict = server.Query(*session);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  EXPECT_EQ(verdict->commit_watermark, 3u);
+  EXPECT_EQ(verdict->sealed_roots, 3u);
+  EXPECT_GT(verdict->live_nodes, 0u);
+  auto closed = server.Close(*session);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_EQ(closed->commit_watermark, 3u);
+  EXPECT_EQ(closed->live_nodes, verdict->live_nodes);
   server.Shutdown();
 }
 

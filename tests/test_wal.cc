@@ -7,8 +7,12 @@
 // The process-kill crash drill lives in test_crash_recovery.cc.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -227,6 +231,61 @@ TEST(WalWriterTest, SyncForAckOnlyFsyncsUnderAlways) {
   ASSERT_TRUE((*always)->Append(SampleRecords(1)[0]).ok());
   ASSERT_TRUE((*always)->SyncForAck().ok());
   EXPECT_GE(counters.fsyncs.load(), 1u);
+}
+
+// Runs in a death-test child: lowers RLIMIT_FSIZE (with SIGXFSZ ignored,
+// an over-limit write returns short, then EFBIG) until an append fails,
+// lifts the limit again, and checks that the writer stays failed and that
+// the file still holds every record appended before the failure.  Returns
+// the child's exit code; 0 = the writer is fail-stop.
+int PoisonedWriterChild() {
+  const fs::path path = Scratch() / "poisoned.wal";
+  auto writer = WalWriter::Create(path.string(), FsyncPolicy::kAlways, nullptr);
+  if (!writer.ok()) return 10;
+  const std::vector<WalRecord> records = SampleRecords(6);
+  rlimit original{};
+  if (::getrlimit(RLIMIT_FSIZE, &original) != 0) return 11;
+  std::signal(SIGXFSZ, SIG_IGN);
+  rlimit low = original;
+  low.rlim_cur = static_cast<rlim_t>(fs::file_size(path) + 1024);
+  if (::setrlimit(RLIMIT_FSIZE, &low) != 0) return 12;
+  std::vector<WalRecord> acked;
+  bool failed = false;
+  for (size_t i = 0; i < 1000 && !failed; ++i) {
+    const WalRecord& record = records[1 + i % (records.size() - 2)];
+    failed = !(*writer)->Append(record).ok() || !(*writer)->SyncForAck().ok();
+    if (!failed) acked.push_back(record);
+  }
+  if (!failed || acked.empty()) return 13;
+  if (::setrlimit(RLIMIT_FSIZE, &original) != 0) return 14;
+  // The disk has room again, but a torn frame may sit at the tail: every
+  // later call must keep failing instead of writing behind it.
+  if ((*writer)->Append(records[1]).ok()) {
+    std::fprintf(stderr, "append after the failure succeeded\n");
+    return 1;
+  }
+  if ((*writer)->SyncForAck().ok() || (*writer)->SyncNow().ok()) {
+    std::fprintf(stderr, "sync after the failure succeeded\n");
+    return 2;
+  }
+  auto scan = ReadWalFile(path.string());
+  if (!scan.ok() || scan->records.size() != acked.size()) {
+    std::fprintf(stderr, "read back %zu records, %zu were acked\n",
+                 scan.ok() ? scan->records.size() : 0, acked.size());
+    return 3;
+  }
+  for (size_t i = 0; i < acked.size(); ++i) {
+    if (EncodeWalRecord(scan->records[i]) != EncodeWalRecord(acked[i])) {
+      std::fprintf(stderr, "record %zu differs from the acked one\n", i);
+      return 4;
+    }
+  }
+  return 0;
+}
+
+TEST(WalWriterDeathTest, FirstWriteErrorIsStickyAndKeepsTheAckedPrefix) {
+  EXPECT_EXIT(std::exit(PoisonedWriterChild()), ::testing::ExitedWithCode(0),
+              "");
 }
 
 // ------------------------------------------------- torn and corrupt tails
@@ -477,6 +536,55 @@ TEST(StateIoTest, CaptureRestoreIsReplayEquivalent) {
     EXPECT_EQ((*restored)->Stats().events_accepted,
               original.Stats().events_accepted);
   }
+}
+
+TEST(StateIoTest, RestoreKeepsTheCommitWatermark) {
+  const auto events = GeneratedEvents(8, 21);
+  online::Certifier original;
+  for (const auto& event : events) ASSERT_TRUE(original.Ingest(event).ok());
+  workload::TraceEvent mark;
+  mark.kind = workload::TraceEventKind::kCommitThrough;
+  mark.a = 3;
+  ASSERT_TRUE(original.Ingest(mark).ok());
+  ASSERT_EQ(original.Stats().commit_watermark, 3u);
+
+  auto state = online::CaptureCertifierState(original);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  Snapshot snapshot;
+  snapshot.session_id = 7;
+  snapshot.event_seq = events.size() + 1;
+  snapshot.state = *state;
+  auto decoded = DecodeSnapshot(EncodeSnapshot(snapshot));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->state.commit_watermark, 3u);
+  auto restored = online::RestoreCertifierState(decoded->state,
+                                                online::CertifierOptions{});
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ((*restored)->Stats().commit_watermark, 3u);
+
+  // A later watermark seals the same roots on both sides.
+  mark.a = 5;
+  ASSERT_TRUE(original.Ingest(mark).ok());
+  ASSERT_TRUE((*restored)->Ingest(mark).ok());
+  EXPECT_EQ((*restored)->Stats().commit_watermark, 5u);
+  EXPECT_EQ((*restored)->SealedRoots().size(), original.SealedRoots().size());
+
+  // A snapshot written before the watermark field existed ends right after
+  // the trace; it still decodes, as watermark 0.
+  const std::string bytes = EncodeSnapshot(snapshot);
+  const size_t header = sizeof(kSnapshotMagic) + 8;
+  const std::string payload =
+      bytes.substr(header, bytes.size() - header - sizeof(uint64_t));
+  std::string old(kSnapshotMagic, sizeof(kSnapshotMagic));
+  for (const uint32_t v : {static_cast<uint32_t>(payload.size()),
+                           Crc32(payload.data(), payload.size())}) {
+    for (int i = 0; i < 4; ++i) old.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  old += payload;
+  auto legacy = DecodeSnapshot(old);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_EQ(legacy->state.commit_watermark, 0u);
+  EXPECT_EQ(legacy->state.trace, state->trace);
 }
 
 TEST(StateIoTest, CorruptTraceFailsTheRestore) {

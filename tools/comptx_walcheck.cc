@@ -193,6 +193,7 @@ bool CheckSnapshot(const std::string& path, const CheckOptions& options) {
               << " rejected=" << snapshot->state.rejected
               << " certifiable=" << (snapshot->state.certifiable ? 1 : 0)
               << " sealed=" << snapshot->state.sealed.size()
+              << " commit_watermark=" << snapshot->state.commit_watermark
               << " trace_bytes=" << snapshot->state.trace.size()
               << ", clean\n";
   }
