@@ -111,7 +111,6 @@ void RunCell(Cell& cell,
   service::ServerOptions options;
   options.workers = cell.workers;
   options.io_threads = cell.io_threads;
-  options.batch_size = 64;
   options.session.queue_capacity = 1024;
   service::CertificationServer server(options);
   service::Endpoint endpoint;  // 127.0.0.1, kernel-chosen port

@@ -159,7 +159,7 @@ void CertificationServer::WorkerLoop() {
       session = std::move(run_queue_.front());
       run_queue_.pop_front();
     }
-    if (session->ProcessBatch(options_.batch_size)) {
+    if (session->ProcessBatch()) {
       ScheduleSession(std::move(session));
     }
   }

@@ -43,11 +43,6 @@ struct ServerOptions {
   /// Defaults for OPEN (overridable per session via key=value options).
   SessionOptions session;
 
-  /// Events a worker ingests per run-queue slice.  Small enough to keep
-  /// many sessions advancing fairly, large enough to amortize the queue
-  /// hand-off.
-  size_t batch_size = 256;
-
   /// Evict sessions with no traffic for this long (0 disables).  Without
   /// durability an evicted id answers not_found afterwards, exactly like
   /// a closed session; with durability the session is persisted first and

@@ -191,11 +191,11 @@ Status Session::EnqueueInternal(std::vector<workload::TraceEvent> events,
   return Status::OK();
 }
 
-bool Session::ProcessBatch(size_t max_events) {
+bool Session::ProcessBatch() {
   std::vector<workload::TraceEvent> batch;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    const size_t take = std::min(max_events, queue_.size());
+    const size_t take = std::min(kDrainSlice, queue_.size());
     batch.reserve(take);
     for (size_t i = 0; i < take; ++i) {
       batch.push_back(std::move(queue_.front()));

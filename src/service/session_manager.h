@@ -107,10 +107,14 @@ class Session {
                          const std::string& mapping,
                          const std::function<void()>& schedule);
 
-  /// Worker side: ingests up to `max_events` queued events.  Returns true
+  /// Events a worker ingests per run-queue slice: one Pearce-Kelly window
+  /// and at most one prune pass each.
+  static constexpr size_t kDrainSlice = 256;
+
+  /// Worker side: ingests up to kDrainSlice queued events.  Returns true
   /// when events remain (the worker re-schedules the session), false when
   /// the queue drained (the session left the run queue).
-  bool ProcessBatch(size_t max_events);
+  bool ProcessBatch();
 
   /// Blocks until the queue is empty and no worker is mid-batch.
   void WaitDrained();

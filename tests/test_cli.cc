@@ -325,9 +325,22 @@ TEST(VersionHelpCliTest, EveryToolAnswersHelpWithExitZero) {
 }
 
 // The certifier has one verdict path; the removed mode flags are unknown
-// flags like any other.
+// flags like any other, and so is the removed --batch.
 TEST(ServeCliTest, RemovedCertifierModeFlagsAreUsageErrors) {
-  for (const char* flag : {" --static-admission", " --paranoid"}) {
+  for (const char* flag :
+       {" --static-admission", " --paranoid",
+        // The worker drain slice is a constant now.
+        " --batch 16",
+        // Every numeric flag goes through one checked parser: a value that
+        // is not a plain decimal in range fails before anything binds.
+        " --port x", " --port 65536", " --port -1", " --max-sessions 0",
+        " --max-sessions 4k", " --queue-capacity -1", " --queue-capacity 0",
+        " --idle-timeout-ms 1.5",
+        " --idle-timeout-ms 18446744073709551615",
+        " --stats-interval-ms 31536000001", " --stats-interval-ms ''",
+        " --fsync-interval-ms ' 5'", " --snapshot-events banana",
+        " --snapshot-events 99999999999999999999", " --workers 0",
+        " --workers 2x", " --io-threads 0", " --handler-threads 2x"}) {
     RunResult r = RunCli(StrCat(COMPTX_SERVE_BIN, flag));
     EXPECT_EQ(r.exit_code, 2) << flag;
     EXPECT_TRUE(Contains(r.stderr_text, "usage")) << flag << ": "

@@ -3,7 +3,7 @@
 // checked against the batch Comp-C checker, admission control, idle
 // eviction, drain-on-shutdown accounting, the TCP loopback path through
 // ServiceClient, and two concurrency suites (ServiceStress,
-// CertifierConcurrency) that the TSan CI job runs under
+// CertifierConcurrency); the TSan CI job runs the whole label under
 // -DCOMPTX_SANITIZE=thread.
 
 #include <gtest/gtest.h>
@@ -313,13 +313,19 @@ TEST(CertificationServerTest, IdleSessionsAreEvicted) {
 TEST(CertificationServerTest, ShutdownDrainsEveryQueuedEvent) {
   ServerOptions options;
   options.workers = 2;
-  options.batch_size = 8;  // force many run-queue hand-offs
   CertificationServer server(options);
   std::vector<uint64_t> ids;
   for (int s = 0; s < 6; ++s) {
     auto session = server.Open();
     ASSERT_TRUE(session.ok());
-    ASSERT_TRUE(server.Append(*session, GeneratedEvents(8, 200 + s)).ok());
+    // Several drain slices per session, well under the default queue
+    // capacity: Append returns at once, so Shutdown finds the sessions
+    // still holding slices and the drain re-schedules them (many
+    // run-queue hand-offs during shutdown).
+    auto events = GeneratedEvents(16, 200 + s);
+    ASSERT_GT(events.size(), 2 * Session::kDrainSlice);
+    ASSERT_LT(events.size(), SessionOptions{}.queue_capacity);
+    ASSERT_TRUE(server.Append(*session, std::move(events)).ok());
     ids.push_back(*session);
   }
   server.Shutdown();  // graceful: queued events certify before teardown
@@ -364,7 +370,6 @@ TEST(CertificationServerTest, RejectedEventsAreCountedNotFatal) {
 TEST(CertificationServerTest, AppendLargerThanQueueCapacityDoesNotDeadlock) {
   ServerOptions options;
   options.workers = 1;
-  options.batch_size = 1;
   options.session.queue_capacity = 1;
   CertificationServer server(options);
   auto session = server.Open();
@@ -397,7 +402,7 @@ TEST(SessionTest, CloseIfIdleIsAtomicWithTheIdleCheck) {
   // ...nor is one with queued events, regardless of the cutoff.
   EXPECT_FALSE(session.CloseIfIdle(std::chrono::steady_clock::now() +
                                    std::chrono::hours(1)));
-  while (session.ProcessBatch(16)) {
+  while (session.ProcessBatch()) {
   }
   EXPECT_TRUE(session.CloseIfIdle(std::chrono::steady_clock::now() +
                                   std::chrono::hours(1)));
@@ -468,14 +473,15 @@ TEST(ServiceLoopbackTest, ShutdownCommandDrainsAndRefusesNewWork) {
 // The acceptance configuration: >= 64 sessions fed from >= 8 client
 // threads through the in-process API, every verdict identical to a
 // single-threaded batch replay of the same events.  Runs under TSan in
-// CI (ctest -R ServiceStress).
+// CI (ctest -L service).
 TEST(ServiceStressTest, SixtyFourSessionsEightThreadsMatchBatchReplay) {
   constexpr size_t kSessions = 64;
   constexpr size_t kThreads = 8;
   ServerOptions options;
   options.workers = 4;
-  options.batch_size = 16;        // many hand-offs per session
-  options.session.queue_capacity = 64;  // exercise backpressure
+  // Backpressure, and slices of at most 16 events: many run-queue
+  // hand-offs per session.
+  options.session.queue_capacity = 16;
   CertificationServer server(options);
 
   struct Work {

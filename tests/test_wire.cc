@@ -4,8 +4,8 @@
 // input, raw-socket clients that trickle bytes or declare absurd
 // lengths, v1/v2 auto-detection on one shared port (and one shared
 // connection), pipelined request/response ordering, and BATCH_APPEND
-// equivalence with event-at-a-time v1 appends.  The ServiceStressTest
-// case runs under TSan in CI.
+// equivalence with event-at-a-time v1 appends.  The whole label runs
+// under TSan in CI.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -303,10 +303,11 @@ std::vector<workload::TraceEvent> GeneratedEvents(uint32_t roots,
 
 /// A listening server plus a raw connected socket for hand-rolled frames.
 struct LiveServer {
-  explicit LiveServer(size_t io_threads = 1) {
+  explicit LiveServer(size_t io_threads = 1, size_t handler_threads = 0) {
     ServerOptions options;
     options.workers = 2;
     options.io_threads = io_threads;
+    options.handler_threads = handler_threads;
     server = std::make_unique<CertificationServer>(options);
     EXPECT_TRUE(server->Listen(endpoint).ok());
   }
@@ -508,12 +509,10 @@ TEST(EventLoopFramingTest, StatsExposeCertifierLiveNodes) {
 
 // ------------------------------------------------------------- stress
 
-// Named ServiceStressTest so the TSan CI job's -R regex picks it up:
-// many connections, each pipelining batched appends to its own session
+// Many connections, each pipelining batched appends to its own session
 // while a second wave of connections interleaves PINGs, then every
 // verdict is checked against the single-connection answer.
-TEST(ServiceStressTest, PipelinedBatchesAcrossConnectionsStayOrdered) {
-  LiveServer live(/*io_threads=*/2);
+void ExpectPipelinedBatchesStayOrdered(LiveServer& live) {
   constexpr size_t kConnections = 8;
   constexpr size_t kPipelineDepth = 4;
   const auto events = GeneratedEvents(6, 2026);
@@ -618,6 +617,21 @@ TEST(ServiceStressTest, PipelinedBatchesAcrossConnectionsStayOrdered) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0u);
+  const ServiceMetrics& metrics = live.server->metrics();
+  EXPECT_EQ(metrics.events_enqueued.Value(),
+            metrics.events_processed.Value() + metrics.events_rejected.Value());
+}
+
+TEST(ServiceStressTest, PipelinedBatchesAcrossConnectionsStayOrdered) {
+  LiveServer live(/*io_threads=*/2);
+  ExpectPipelinedBatchesStayOrdered(live);
+}
+
+// One reactor and one handler thread answer every connection: a handler
+// that waited on work only another handler could start would hang here.
+TEST(ServiceStressTest, OneHandlerThreadKeepsPipelinedBatchesOrdered) {
+  LiveServer live(/*io_threads=*/1, /*handler_threads=*/1);
+  ExpectPipelinedBatchesStayOrdered(live);
 }
 
 }  // namespace

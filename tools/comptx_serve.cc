@@ -6,7 +6,7 @@
 //
 // Usage: comptx_serve [--host H] [--port N] [--unix PATH] [--workers N]
 //                     [--io-threads N] [--handler-threads N]
-//                     [--max-sessions N] [--queue-capacity N] [--batch N]
+//                     [--max-sessions N] [--queue-capacity N]
 //                     [--idle-timeout-ms N] [--stats-interval-ms N]
 //                     [--port-file PATH] [--data-dir DIR]
 //                     [--fsync always|interval|none]
@@ -19,6 +19,9 @@
 //   certification queues.  Both wire protocols are served on the same
 //   port — textual v1 and binary v2 are auto-detected per frame
 //   (DESIGN.md §12).
+//
+//   Every numeric flag takes a plain decimal integer in its range (the
+//   *-ms flags at most one year); any other value is a usage error.
 //
 //   --port 0 (the default) asks the kernel for an ephemeral port; the
 //   chosen port is printed on stdout as "listening on HOST:PORT" and,
@@ -45,7 +48,9 @@
 //
 // Exit codes: 0 = clean shutdown, 2 = usage, bind or recovery error.
 
+#include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -78,7 +83,7 @@ int Usage(int code) {
       << "usage: comptx_serve [--host H] [--port N] [--unix PATH]\n"
          "                    [--workers N] [--io-threads N]\n"
          "                    [--handler-threads N] [--max-sessions N]\n"
-         "                    [--queue-capacity N] [--batch N]\n"
+         "                    [--queue-capacity N]\n"
          "                    [--idle-timeout-ms N] [--stats-interval-ms N]\n"
          "                    [--port-file PATH] [--data-dir DIR]\n"
          "                    [--fsync always|interval|none]\n"
@@ -90,9 +95,37 @@ int Usage(int code) {
          "The front end is an epoll event loop (--io-threads reactors,\n"
          "--handler-threads request handlers) serving both the textual v1\n"
          "and binary v2 wire protocols on one port, auto-detected.\n"
+         "Numeric flags take a decimal integer in range (*-ms: <= 1 year).\n"
          "--data-dir enables per-session WAL + snapshot durability and\n"
          "crash recovery (OPEN resume=<id> resumes persisted sessions).\n";
   return code;
+}
+
+// Upper bound for the thread-count flags: a typo must not ask the kernel
+// for millions of threads.
+constexpr uint64_t kMaxThreads = 1024;
+
+// Upper bound for the millisecond flags, one year: the server adds and
+// subtracts them from steady_clock time points, which overflow (and turn
+// an idle timeout into "evict everything now") long before UINT64_MAX.
+constexpr uint64_t kMaxMillis = 365ull * 24 * 60 * 60 * 1000;
+
+// The one parser behind every numeric flag: a plain decimal integer in
+// [min, max], else a usage error (exit 2).  strtoull alone would accept
+// "banana" as 0, "-1" as 2^64-1 and "7x" as 7.
+uint64_t ParseNumber(const char* flag, const char* text, uint64_t min,
+                     uint64_t max) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value =
+      text[0] >= '0' && text[0] <= '9' ? std::strtoull(text, &end, 10) : 0;
+  if (end == nullptr || *end != '\0' || errno != 0 || value < min ||
+      value > max) {
+    std::cerr << flag << " needs an integer in [" << min << ", " << max
+              << "], got '" << text << "'\n";
+    std::exit(Usage(2));
+  }
+  return value;
 }
 
 }  // namespace
@@ -111,6 +144,9 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](const char* flag, uint64_t min, uint64_t max) {
+      return ParseNumber(flag, next(flag), min, max);
+    };
     if (arg == "--version") {
       PrintToolVersion("comptx_serve");
       return 0;
@@ -119,45 +155,25 @@ int main(int argc, char** argv) {
     } else if (arg == "--host") {
       endpoint.host = next("--host");
     } else if (arg == "--port") {
-      endpoint.port = std::atoi(next("--port"));
+      endpoint.port = static_cast<int>(number("--port", 0, 65535));
     } else if (arg == "--unix") {
       endpoint.unix_path = next("--unix");
     } else if (arg == "--workers") {
-      const long workers = std::strtol(next("--workers"), nullptr, 10);
-      if (workers < 1) {
-        std::cerr << "--workers needs a positive count\n";
-        return 2;
-      }
-      options.workers = static_cast<size_t>(workers);
+      options.workers = number("--workers", 1, kMaxThreads);
     } else if (arg == "--io-threads") {
-      const long io = std::strtol(next("--io-threads"), nullptr, 10);
-      if (io < 1) {
-        std::cerr << "--io-threads needs a positive count\n";
-        return 2;
-      }
-      options.io_threads = static_cast<size_t>(io);
+      options.io_threads = number("--io-threads", 1, kMaxThreads);
     } else if (arg == "--handler-threads") {
-      const long handlers = std::strtol(next("--handler-threads"), nullptr, 10);
-      if (handlers < 1) {
-        std::cerr << "--handler-threads needs a positive count\n";
-        return 2;
-      }
-      options.handler_threads = static_cast<size_t>(handlers);
+      options.handler_threads = number("--handler-threads", 1, kMaxThreads);
     } else if (arg == "--max-sessions") {
-      options.max_sessions =
-          static_cast<size_t>(std::strtoul(next("--max-sessions"), nullptr, 10));
+      options.max_sessions = number("--max-sessions", 1, SIZE_MAX);
     } else if (arg == "--queue-capacity") {
-      options.session.queue_capacity = static_cast<size_t>(
-          std::strtoul(next("--queue-capacity"), nullptr, 10));
-    } else if (arg == "--batch") {
-      options.batch_size =
-          static_cast<size_t>(std::strtoul(next("--batch"), nullptr, 10));
+      options.session.queue_capacity =
+          number("--queue-capacity", 1, SIZE_MAX);
     } else if (arg == "--idle-timeout-ms") {
-      options.idle_timeout_ms =
-          std::strtoull(next("--idle-timeout-ms"), nullptr, 10);
+      options.idle_timeout_ms = number("--idle-timeout-ms", 0, kMaxMillis);
     } else if (arg == "--stats-interval-ms") {
       options.stats_interval_ms =
-          std::strtoull(next("--stats-interval-ms"), nullptr, 10);
+          number("--stats-interval-ms", 0, kMaxMillis);
     } else if (arg == "--port-file") {
       port_file = next("--port-file");
     } else if (arg == "--data-dir") {
@@ -172,10 +188,10 @@ int main(int argc, char** argv) {
       options.durability.fsync = *policy;
     } else if (arg == "--fsync-interval-ms") {
       options.durability.fsync_interval_ms =
-          std::strtoull(next("--fsync-interval-ms"), nullptr, 10);
+          number("--fsync-interval-ms", 0, kMaxMillis);
     } else if (arg == "--snapshot-events") {
       options.durability.snapshot_events =
-          std::strtoull(next("--snapshot-events"), nullptr, 10);
+          number("--snapshot-events", 0, UINT64_MAX);
     } else if (arg == "--verify-recovery") {
       options.durability.verify_recovery = true;
     } else {
@@ -183,12 +199,6 @@ int main(int argc, char** argv) {
       return Usage(2);
     }
   }
-  if (options.max_sessions == 0 || options.session.queue_capacity == 0 ||
-      options.batch_size == 0) {
-    std::cerr << "--max-sessions/--queue-capacity/--batch must be positive\n";
-    return 2;
-  }
-
   service::CertificationServer server(options);
   if (!server.InitStatus().ok()) {
     std::cerr << "durability init failed: " << server.InitStatus() << "\n";
