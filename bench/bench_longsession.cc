@@ -27,20 +27,52 @@
 // Plain chrono driver (no google-benchmark) so the output is a single
 // machine-readable JSON document, committed as BENCH_longsession.json.
 //
-// Usage: bench_longsession [output.json] [--events N] [--window N]
-//                          [--batch N]
+// Window dimension: `--windows 1,4,16,64` runs the whole measurement once
+// per commit window and writes one row per window into the same JSON, so
+// the per-event cost at window 64 can be read against window 1 (the
+// ROADMAP target is "within 2x").
+//
+// Heap churn: the binary replaces the global operator new with a
+// counting one (this binary only), and each row reports the allocations
+// per event over its last checkpoint segment, the steady state.
+//
+// Usage: bench_longsession [output.json] [--events N] [--windows W,W,...]
+//                          [--window N] [--batch N] [--label TEXT]
 
+#include <atomic>
 #include <cstdint>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "online/certifier.h"
 #include "util/logging.h"
 #include "workload/trace.h"
+
+// ---- counting operator new (this binary only) ---------------------------
+
+namespace {
+std::atomic<uint64_t> g_heap_allocations{0};
+
+void* CountedAlloc(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -124,37 +156,36 @@ struct Checkpoint {
   uint64_t live_nodes = 0;
   uint64_t pruned_nodes = 0;
   uint64_t prune_passes = 0;
+  uint64_t segment_allocations = 0;  // operator new calls in the segment
   bool certifiable = false;
 
   double PerEventUs() const {
     return segment_events == 0 ? 0 : segment_us / double(segment_events);
   }
+  double AllocationsPerEvent() const {
+    return segment_events == 0 ? 0
+                               : double(segment_allocations) /
+                                     double(segment_events);
+  }
 };
 
-}  // namespace
+/// One window's measurement: the checkpoints plus the pass/fail flags.
+struct Row {
+  uint32_t window = 0;
+  std::vector<Checkpoint> checkpoints;
+  bool flat = false;
+  bool live_bounded = false;
+  bool all_certifiable = false;
+  bool crosscheck_agrees = false;
 
-int main(int argc, char** argv) {
-  std::string out_path = "BENCH_longsession.json";
-  uint64_t total_events = 10'000'000;
-  uint32_t window = 16;
-  size_t batch = 256;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      COMPTX_CHECK(i + 1 < argc) << arg << " needs a value";
-      return argv[++i];
-    };
-    if (arg == "--events") {
-      total_events = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--window") {
-      window = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--batch") {
-      batch = std::strtoul(next(), nullptr, 10);
-    } else {
-      out_path = arg;
-    }
+  const Checkpoint& first() const { return checkpoints.front(); }
+  const Checkpoint& last() const { return checkpoints.back(); }
+  bool ok() const {
+    return flat && live_bounded && all_certifiable && crosscheck_agrees;
   }
+};
 
+Row RunWindow(uint32_t window, uint64_t total_events, size_t batch) {
   // Log-spaced sample points ending at total_events: total/100, total/10x
   // steps (100k, 316k, 1M, 3.16M, 10M for the default budget).
   std::vector<uint64_t> marks;
@@ -164,15 +195,17 @@ int main(int argc, char** argv) {
   }
   marks.push_back(total_events);
 
+  Row row;
+  row.window = window;
   online::CertifierOptions options;
   options.auto_prune = true;
   online::Certifier certifier(options);
   WindowStream stream(window);
   std::vector<workload::TraceEvent> chunk;
-  std::vector<Checkpoint> checkpoints;
   uint64_t ingested = 0;
   uint64_t segment_start_events = 0;
   size_t next_mark = 0;
+  uint64_t segment_start_allocations = g_heap_allocations.load();
   Clock::time_point segment_start = Clock::now();
   while (ingested < total_events && next_mark < marks.size()) {
     chunk.clear();
@@ -186,6 +219,8 @@ int main(int argc, char** argv) {
     if (ingested >= marks[next_mark]) {
       Checkpoint cp;
       cp.segment_us = MicrosSince(segment_start);
+      cp.segment_allocations =
+          g_heap_allocations.load() - segment_start_allocations;
       cp.events = ingested;
       cp.segment_events = ingested - segment_start_events;
       online::CertifierStats stats = certifier.Stats();
@@ -193,23 +228,25 @@ int main(int argc, char** argv) {
       cp.pruned_nodes = stats.pruned_nodes;
       cp.prune_passes = stats.prune_passes;
       cp.certifiable = certifier.Certifiable();
-      checkpoints.push_back(cp);
-      std::cout << "events=" << cp.events << " per_event=" << cp.PerEventUs()
-                << "us live=" << cp.live_nodes << " pruned=" << cp.pruned_nodes
+      row.checkpoints.push_back(cp);
+      std::cout << "window=" << window << " events=" << cp.events
+                << " per_event=" << cp.PerEventUs()
+                << "us allocs/event=" << cp.AllocationsPerEvent()
+                << " live=" << cp.live_nodes << " pruned=" << cp.pruned_nodes
                 << " certifiable=" << (cp.certifiable ? "yes" : "NO") << "\n";
       segment_start_events = ingested;
       ++next_mark;
+      segment_start_allocations = g_heap_allocations.load();
       segment_start = Clock::now();
     }
   }
-  COMPTX_CHECK(!checkpoints.empty());
+  COMPTX_CHECK(!row.checkpoints.empty());
 
   // Unpruned cross-check: same stream shape at a deliberately small
   // scale (an unpruned certifier pays O(live) = O(total) per event, so
   // replaying a full checkpoint would be quadratic), pruned vs unpruned
   // verdicts must agree.  The soak test does the deep version of this at
   // every sampled prefix; the bench keeps one scale as a tripwire.
-  bool crosscheck_agrees = true;
   {
     constexpr uint64_t kCrosscheckEvents = 8000;
     online::CertifierOptions unpruned;
@@ -227,53 +264,128 @@ int main(int argc, char** argv) {
       status = pruned.Ingest(event);
       COMPTX_CHECK(status.ok()) << status.ToString();
     }
-    crosscheck_agrees = reference.Certifiable() == pruned.Certifiable();
+    row.crosscheck_agrees = reference.Certifiable() == pruned.Certifiable();
   }
 
-  const Checkpoint& first = checkpoints.front();
-  const Checkpoint& last = checkpoints.back();
   // The flatness criterion from EXPERIMENTS.md E15.  The window holds
   // `window` roots of 2 nodes each plus the in-flight root; live_nodes
   // must stay within a small multiple of that, independent of lifetime.
-  const bool flat = last.PerEventUs() <= 1.5 * first.PerEventUs();
+  row.flat = row.last().PerEventUs() <= 1.5 * row.first().PerEventUs();
   const uint64_t window_nodes = uint64_t(window + 1) * 2;
-  bool live_bounded = true;
-  bool all_certifiable = true;
-  for (const Checkpoint& cp : checkpoints) {
-    live_bounded = live_bounded && cp.live_nodes <= 2 * window_nodes;
-    all_certifiable = all_certifiable && cp.certifiable;
+  row.live_bounded = true;
+  row.all_certifiable = true;
+  for (const Checkpoint& cp : row.checkpoints) {
+    row.live_bounded = row.live_bounded && cp.live_nodes <= 2 * window_nodes;
+    row.all_certifiable = row.all_certifiable && cp.certifiable;
+  }
+  return row;
+}
+
+std::vector<uint32_t> ParseWindows(const std::string& list) {
+  std::vector<uint32_t> windows;
+  std::stringstream in(list);
+  std::string item;
+  while (std::getline(in, item, ',')) {
+    char* end = nullptr;
+    const unsigned long w = std::strtoul(item.c_str(), &end, 10);
+    COMPTX_CHECK(!item.empty() && *end == '\0' && w > 0 && w <= 4096)
+        << "bad window '" << item << "' in --windows " << list;
+    windows.push_back(static_cast<uint32_t>(w));
+  }
+  COMPTX_CHECK(!windows.empty()) << "--windows needs at least one window";
+  return windows;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string out_path = "BENCH_longsession.json";
+  uint64_t total_events = 10'000'000;
+  std::vector<uint32_t> windows = {16};
+  size_t batch = 256;
+  std::string label;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto next = [&]() -> const char* {
+      COMPTX_CHECK(i + 1 < argc) << arg << " needs a value";
+      return argv[++i];
+    };
+    if (arg == "--events") {
+      total_events = std::strtoull(next(), nullptr, 10);
+    } else if (arg == "--window" || arg == "--windows") {
+      windows = ParseWindows(next());
+    } else if (arg == "--batch") {
+      batch = std::strtoul(next(), nullptr, 10);
+    } else if (arg == "--label") {
+      label = next();
+    } else {
+      out_path = arg;
+    }
+  }
+
+  std::vector<Row> rows;
+  for (uint32_t window : windows) {
+    rows.push_back(RunWindow(window, total_events, batch));
   }
 
   std::ostringstream json;
   json << "{\n"
        << "  \"experiment\": \"E15_long_session\",\n"
-       << "  \"workload\": \"streaming_window_chain\",\n"
-       << "  \"total_events\": " << last.events << ",\n"
-       << "  \"commit_window_roots\": " << window << ",\n"
-       << "  \"ingest_batch\": " << batch << ",\n"
-       << "  \"per_event_us_first\": " << first.PerEventUs() << ",\n"
-       << "  \"per_event_us_last\": " << last.PerEventUs() << ",\n"
-       << "  \"cost_ratio_last_over_first\": "
-       << last.PerEventUs() / first.PerEventUs() << ",\n"
-       << "  \"flat_hot_path\": " << (flat ? "true" : "false") << ",\n"
-       << "  \"live_nodes_bounded_by_window\": "
-       << (live_bounded ? "true" : "false") << ",\n"
-       << "  \"all_checkpoints_certifiable\": "
-       << (all_certifiable ? "true" : "false") << ",\n"
-       << "  \"unpruned_crosscheck_agrees\": "
-       << (crosscheck_agrees ? "true" : "false") << ",\n"
-       << "  \"checkpoints\": [\n";
-  for (size_t i = 0; i < checkpoints.size(); ++i) {
-    const Checkpoint& cp = checkpoints[i];
-    json << "    {\"events\": " << cp.events
-         << ", \"segment_events\": " << cp.segment_events
-         << ", \"segment_us\": " << cp.segment_us
-         << ", \"per_event_us\": " << cp.PerEventUs()
-         << ", \"live_nodes\": " << cp.live_nodes
-         << ", \"pruned_nodes\": " << cp.pruned_nodes
-         << ", \"prune_passes\": " << cp.prune_passes
-         << ", \"certifiable\": " << (cp.certifiable ? "true" : "false")
-         << "}" << (i + 1 < checkpoints.size() ? "," : "") << "\n";
+       << "  \"workload\": \"streaming_window_chain\",\n";
+  if (!label.empty()) json << "  \"label\": \"" << label << "\",\n";
+  json << "  \"hardware_concurrency\": "
+       << std::thread::hardware_concurrency() << ",\n"
+       << "  \"total_events\": " << rows.front().last().events << ",\n"
+       << "  \"ingest_batch\": " << batch << ",\n";
+  // Cost at the largest window over the cost at the smallest, both from
+  // the last (steady-state) segment.
+  const Row* narrow = &rows.front();
+  const Row* wide = &rows.front();
+  for (const Row& row : rows) {
+    if (row.window < narrow->window) narrow = &row;
+    if (row.window > wide->window) wide = &row;
+  }
+  json << "  \"window_cost_ratio\": {\"narrow_window\": " << narrow->window
+       << ", \"wide_window\": " << wide->window << ", \"ratio\": "
+       << wide->last().PerEventUs() / narrow->last().PerEventUs() << "},\n"
+       << "  \"rows\": [\n";
+  bool all_ok = true;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const Row& row = rows[r];
+    all_ok = all_ok && row.ok();
+    json << "    {\n"
+         << "      \"commit_window_roots\": " << row.window << ",\n"
+         << "      \"per_event_us_first\": " << row.first().PerEventUs()
+         << ",\n"
+         << "      \"per_event_us_last\": " << row.last().PerEventUs()
+         << ",\n"
+         << "      \"cost_ratio_last_over_first\": "
+         << row.last().PerEventUs() / row.first().PerEventUs() << ",\n"
+         << "      \"steady_allocations_per_event\": "
+         << row.last().AllocationsPerEvent() << ",\n"
+         << "      \"flat_hot_path\": " << (row.flat ? "true" : "false")
+         << ",\n"
+         << "      \"live_nodes_bounded_by_window\": "
+         << (row.live_bounded ? "true" : "false") << ",\n"
+         << "      \"all_checkpoints_certifiable\": "
+         << (row.all_certifiable ? "true" : "false") << ",\n"
+         << "      \"unpruned_crosscheck_agrees\": "
+         << (row.crosscheck_agrees ? "true" : "false") << ",\n"
+         << "      \"checkpoints\": [\n";
+    for (size_t i = 0; i < row.checkpoints.size(); ++i) {
+      const Checkpoint& cp = row.checkpoints[i];
+      json << "        {\"events\": " << cp.events
+           << ", \"segment_events\": " << cp.segment_events
+           << ", \"segment_us\": " << cp.segment_us
+           << ", \"per_event_us\": " << cp.PerEventUs()
+           << ", \"allocations_per_event\": " << cp.AllocationsPerEvent()
+           << ", \"live_nodes\": " << cp.live_nodes
+           << ", \"pruned_nodes\": " << cp.pruned_nodes
+           << ", \"prune_passes\": " << cp.prune_passes
+           << ", \"certifiable\": " << (cp.certifiable ? "true" : "false")
+           << "}" << (i + 1 < row.checkpoints.size() ? "," : "") << "\n";
+    }
+    json << "      ]\n    }" << (r + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
 
@@ -283,7 +395,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   out << json.str();
-  std::cout << "wrote " << out_path << " (ratio="
-            << last.PerEventUs() / first.PerEventUs() << ")\n";
-  return flat && live_bounded && all_certifiable && crosscheck_agrees ? 0 : 1;
+  std::cout << "wrote " << out_path << " (w" << wide->window << "/w"
+            << narrow->window << " cost ratio "
+            << wide->last().PerEventUs() / narrow->last().PerEventUs()
+            << ")\n";
+  return all_ok ? 0 : 1;
 }

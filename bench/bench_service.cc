@@ -23,12 +23,20 @@
 // Every row records hardware_concurrency, protocol, and batch, and every
 // cell's verdicts are checked against a single-threaded batch replay.
 //
+// One workload pass (64 sessions, ~14k events) takes well under 0.2 s,
+// too short to rank anything against scheduler noise.  A cell therefore
+// repeats whole passes, each on fresh sessions, until its load phase has
+// run for at least kMinLoadSeconds, and each cell is measured kReps
+// times: a row reports the median rep and the spread (max - min) / median
+// of events/sec over the reps.
+//
 // Usage: bench_service [--mode protocol|scaling|all] [output.json]
 //   Default mode: all.  When the machine is too small, scaling rows are
 //   skipped with the reason recorded in the JSON; --mode scaling on such
 //   a machine writes the refusal-only artifact and exits 0 without
 //   opening a socket or generating a workload.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -53,6 +61,8 @@ using Clock = std::chrono::steady_clock;
 
 constexpr size_t kSessions = 64;
 constexpr size_t kClientThreads = 8;
+constexpr double kMinLoadSeconds = 1.0;
+constexpr int kReps = 3;
 
 std::vector<workload::TraceEvent> MakeEvents(uint32_t roots, uint64_t seed) {
   workload::WorkloadSpec spec;
@@ -92,8 +102,10 @@ struct Cell {
   size_t io_threads = 2;
   size_t workers = 2;
   size_t events = 0;
+  size_t passes = 0;
   double load_seconds = 0;
   double events_per_second = 0;
+  double events_per_second_spread = 0;  // (max - min) / median over reps
   uint64_t append_p50_us = 0;
   uint64_t append_p99_us = 0;
   uint64_t verdict_p50_us = 0;
@@ -101,10 +113,12 @@ struct Cell {
   size_t mismatches = 0;
 };
 
-/// One full server lifecycle: listen on an ephemeral loopback port, open
-/// kSessions over the wire, stream every event from kClientThreads
-/// connections in `cell.batch`-sized APPENDs, QUERY every verdict, shut
-/// down.  Client-side RPC latency lands in the cell's percentiles.
+/// One full server lifecycle: listen on an ephemeral loopback port, then
+/// run whole workload passes until the load phases add up to
+/// kMinLoadSeconds.  A pass opens kSessions over the wire, streams every
+/// event from kClientThreads connections in `cell.batch`-sized APPENDs,
+/// QUERYs every verdict and closes the sessions.  Client-side RPC latency
+/// lands in the cell's percentiles.
 void RunCell(Cell& cell,
              const std::vector<std::vector<workload::TraceEvent>>& streams,
              const std::vector<bool>& expected) {
@@ -119,67 +133,72 @@ void RunCell(Cell& cell,
   auto control = service::ServiceClient::Dial(endpoint, cell.protocol);
   COMPTX_CHECK(control.ok()) << control.status().ToString();
   std::vector<uint64_t> ids(kSessions);
-  cell.events = 0;
-  for (size_t s = 0; s < kSessions; ++s) {
-    auto session = control->Open();
-    COMPTX_CHECK(session.ok()) << session.status().ToString();
-    ids[s] = *session;
-    cell.events += streams[s].size();
-  }
-
-  // Load phase: each client thread owns a disjoint slice of sessions
-  // (per-session order needs per-session ownership) and round-robins
-  // batch-sized APPENDs across its slice over its own connection.
   service::LatencyHistogram append_hist;
-  const Clock::time_point start = Clock::now();
-  std::vector<std::thread> clients;
-  for (size_t t = 0; t < kClientThreads; ++t) {
-    clients.emplace_back([&, t] {
-      auto client = service::ServiceClient::Dial(endpoint, cell.protocol);
-      COMPTX_CHECK(client.ok()) << client.status().ToString();
-      std::vector<size_t> cursors(kSessions, 0);
-      bool progress = true;
-      while (progress) {
-        progress = false;
-        for (size_t s = t; s < kSessions; s += kClientThreads) {
-          const auto& stream = streams[s];
-          size_t& cursor = cursors[s];
-          if (cursor >= stream.size()) continue;
-          const size_t n = std::min(cell.batch, stream.size() - cursor);
-          std::vector<workload::TraceEvent> chunk(
-              stream.begin() + cursor, stream.begin() + cursor + n);
-          cursor += n;
-          const Clock::time_point rpc_start = Clock::now();
-          auto queued = client->Append(ids[s], chunk);
-          COMPTX_CHECK(queued.ok()) << queued.status().ToString();
-          append_hist.Record(static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  Clock::now() - rpc_start)
-                  .count()));
-          progress = true;
-        }
-      }
-    });
-  }
-  for (std::thread& client : clients) client.join();
-
-  // Verdict phase: QUERY every session (the drain barrier — this is the
-  // latency a caller waiting for a verdict actually pays).
   service::LatencyHistogram verdict_hist;
-  for (size_t s = 0; s < kSessions; ++s) {
-    const Clock::time_point rpc_start = Clock::now();
-    auto verdict = control->Query(ids[s]);
-    verdict_hist.Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              rpc_start)
-            .count()));
-    COMPTX_CHECK(verdict.ok()) << verdict.status().ToString();
-    if (verdict->certifiable != expected[s]) ++cell.mismatches;
+  cell.events = 0;
+  cell.passes = 0;
+  cell.load_seconds = 0;
+  while (cell.load_seconds < kMinLoadSeconds) {
+    for (size_t s = 0; s < kSessions; ++s) {
+      auto session = control->Open();
+      COMPTX_CHECK(session.ok()) << session.status().ToString();
+      ids[s] = *session;
+      cell.events += streams[s].size();
+    }
+
+    // Load phase: each client thread owns a disjoint slice of sessions
+    // (per-session order needs per-session ownership) and round-robins
+    // batch-sized APPENDs across its slice over its own connection.
+    const Clock::time_point start = Clock::now();
+    std::vector<std::thread> clients;
+    for (size_t t = 0; t < kClientThreads; ++t) {
+      clients.emplace_back([&, t] {
+        auto client = service::ServiceClient::Dial(endpoint, cell.protocol);
+        COMPTX_CHECK(client.ok()) << client.status().ToString();
+        std::vector<size_t> cursors(kSessions, 0);
+        bool progress = true;
+        while (progress) {
+          progress = false;
+          for (size_t s = t; s < kSessions; s += kClientThreads) {
+            const auto& stream = streams[s];
+            size_t& cursor = cursors[s];
+            if (cursor >= stream.size()) continue;
+            const size_t n = std::min(cell.batch, stream.size() - cursor);
+            std::vector<workload::TraceEvent> chunk(
+                stream.begin() + cursor, stream.begin() + cursor + n);
+            cursor += n;
+            const Clock::time_point rpc_start = Clock::now();
+            auto queued = client->Append(ids[s], chunk);
+            COMPTX_CHECK(queued.ok()) << queued.status().ToString();
+            append_hist.Record(static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    Clock::now() - rpc_start)
+                    .count()));
+            progress = true;
+          }
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+
+    // Verdict phase: QUERY every session (the drain barrier — this is the
+    // latency a caller waiting for a verdict actually pays).
+    for (size_t s = 0; s < kSessions; ++s) {
+      const Clock::time_point rpc_start = Clock::now();
+      auto verdict = control->Query(ids[s]);
+      verdict_hist.Record(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                                rpc_start)
+              .count()));
+      COMPTX_CHECK(verdict.ok()) << verdict.status().ToString();
+      if (verdict->certifiable != expected[s]) ++cell.mismatches;
+    }
+    cell.load_seconds +=
+        std::chrono::duration<double>(Clock::now() - start).count();
+    ++cell.passes;
+    for (uint64_t id : ids) COMPTX_CHECK(control->Close(id).ok());
   }
-  cell.load_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  cell.events_per_second =
-      cell.load_seconds > 0 ? double(cell.events) / cell.load_seconds : 0;
+  cell.events_per_second = double(cell.events) / cell.load_seconds;
 
   const auto append_snap = append_hist.Snap();
   const auto verdict_snap = verdict_hist.Snap();
@@ -190,19 +209,26 @@ void RunCell(Cell& cell,
   server.Shutdown();
 }
 
-Cell BestOf3(Cell proto,
-             const std::vector<std::vector<workload::TraceEvent>>& streams,
-             const std::vector<bool>& expected, size_t* total_mismatches) {
-  Cell best;
-  for (int rep = 0; rep < 3; ++rep) {
+/// kReps runs of one cell: the median run, with the spread of events/sec
+/// over all runs.
+Cell MedianOfReps(Cell proto,
+                  const std::vector<std::vector<workload::TraceEvent>>& streams,
+                  const std::vector<bool>& expected, size_t* total_mismatches) {
+  std::vector<Cell> reps;
+  for (int rep = 0; rep < kReps; ++rep) {
     Cell cell = proto;
     RunCell(cell, streams, expected);
     *total_mismatches += cell.mismatches;
-    if (rep == 0 || cell.events_per_second > best.events_per_second) {
-      best = cell;
-    }
+    reps.push_back(cell);
   }
-  return best;
+  std::sort(reps.begin(), reps.end(), [](const Cell& a, const Cell& b) {
+    return a.events_per_second < b.events_per_second;
+  });
+  Cell median = reps[reps.size() / 2];
+  median.events_per_second_spread =
+      (reps.back().events_per_second - reps.front().events_per_second) /
+      median.events_per_second;
+  return median;
 }
 
 void PrintCell(const Cell& c) {
@@ -210,6 +236,8 @@ void PrintCell(const Cell& c) {
             << service::WireProtocolToString(c.protocol)
             << " batch=" << c.batch << " io_threads=" << c.io_threads
             << " events_per_second=" << c.events_per_second
+            << " spread=" << c.events_per_second_spread
+            << " load_seconds=" << c.load_seconds
             << " append_p99_us=" << c.append_p99_us
             << " verdict_p99_us=" << c.verdict_p99_us
             << " mismatches=" << c.mismatches << "\n";
@@ -283,7 +311,7 @@ int main(int argc, char** argv) {
     total_events += streams[s].size();
   }
   std::cout << "sessions=" << kSessions << " client_threads="
-            << kClientThreads << " total_events=" << total_events
+            << kClientThreads << " events_per_pass=" << total_events
             << " cores=" << cores << "\n";
 
   std::vector<Cell> cells;
@@ -308,9 +336,9 @@ int main(int argc, char** argv) {
       proto.batch = p.batch;
       proto.io_threads = 2;
       proto.workers = 2;
-      Cell best = BestOf3(proto, streams, expected, &total_mismatches);
-      PrintCell(best);
-      cells.push_back(best);
+      Cell median = MedianOfReps(proto, streams, expected, &total_mismatches);
+      PrintCell(median);
+      cells.push_back(median);
     }
   }
 
@@ -322,9 +350,9 @@ int main(int argc, char** argv) {
       proto.batch = 32;
       proto.io_threads = io;
       proto.workers = 4;
-      Cell best = BestOf3(proto, streams, expected, &total_mismatches);
-      PrintCell(best);
-      cells.push_back(best);
+      Cell median = MedianOfReps(proto, streams, expected, &total_mismatches);
+      PrintCell(median);
+      cells.push_back(median);
     }
   } else if (mode == "all" && !scaling_skipped.empty()) {
     std::cout << "scaling suite skipped: " << scaling_skipped << "\n";
@@ -363,7 +391,9 @@ int main(int argc, char** argv) {
        << "  \"transport\": \"tcp_loopback\",\n"
        << "  \"sessions\": " << kSessions << ",\n"
        << "  \"client_threads\": " << kClientThreads << ",\n"
-       << "  \"total_events\": " << total_events << ",\n"
+       << "  \"events_per_pass\": " << total_events << ",\n"
+       << "  \"min_load_seconds\": " << kMinLoadSeconds << ",\n"
+       << "  \"reps\": " << kReps << ",\n"
        << "  \"hardware_concurrency\": " << cores << ",\n"
        << "  \"v2_batch16_speedup_over_v1_single\": " << batch_speedup
        << ",\n"
@@ -387,8 +417,10 @@ int main(int argc, char** argv) {
          << ", \"workers\": " << c.workers
          << ", \"hardware_concurrency\": " << cores
          << ", \"events\": " << c.events
+         << ", \"passes\": " << c.passes
          << ", \"load_seconds\": " << c.load_seconds
          << ", \"events_per_second\": " << c.events_per_second
+         << ", \"events_per_second_spread\": " << c.events_per_second_spread
          << ", \"append_p50_us\": " << c.append_p50_us
          << ", \"append_p99_us\": " << c.append_p99_us
          << ", \"verdict_p50_us\": " << c.verdict_p50_us

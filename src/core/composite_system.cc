@@ -1,6 +1,7 @@
 #include "core/composite_system.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <utility>
 
 #include "util/logging.h"
@@ -233,14 +234,14 @@ bool CompositeSystem::SemanticallyCommutes(NodeId a, NodeId b) const {
   return spec_->Commutes(na.sem_class, nb.sem_class);
 }
 
-const Node& CompositeSystem::node(NodeId id) const {
-  COMPTX_CHECK(HasNode(id)) << "node id out of range: " << id;
-  return nodes_[id.index()];
+void CompositeSystem::DieOutOfRange(NodeId id) {
+  COMPTX_CHECK(false) << "node id out of range: " << id;
+  std::abort();
 }
 
-const Schedule& CompositeSystem::schedule(ScheduleId id) const {
-  COMPTX_CHECK(HasSchedule(id)) << "schedule id out of range: " << id;
-  return schedules_[id.index()];
+void CompositeSystem::DieOutOfRange(ScheduleId id) {
+  COMPTX_CHECK(false) << "schedule id out of range: " << id;
+  std::abort();
 }
 
 Node& CompositeSystem::mutable_node(NodeId id) {
@@ -251,12 +252,6 @@ Node& CompositeSystem::mutable_node(NodeId id) {
 Schedule& CompositeSystem::mutable_schedule(ScheduleId id) {
   COMPTX_CHECK(HasSchedule(id)) << "schedule id out of range: " << id;
   return schedules_[id.index()];
-}
-
-ScheduleId CompositeSystem::HostScheduleOf(NodeId id) const {
-  const Node& n = node(id);
-  if (!n.parent.valid()) return ScheduleId();
-  return node(n.parent).owner_schedule;
 }
 
 std::vector<NodeId> CompositeSystem::Roots() const {

@@ -1,7 +1,9 @@
 #ifndef COMPTX_CORE_COMPOSITE_SYSTEM_H_
 #define COMPTX_CORE_COMPOSITE_SYSTEM_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -136,8 +138,16 @@ class CompositeSystem {
   size_t NodeCount() const { return nodes_.size(); }
   size_t ScheduleCount() const { return schedules_.size(); }
 
-  const Node& node(NodeId id) const;
-  const Schedule& schedule(ScheduleId id) const;
+  // Inline: the online engine calls these several times per derived
+  // pair.  An out-of-range id is a programming error and dies.
+  const Node& node(NodeId id) const {
+    if (!HasNode(id)) DieOutOfRange(id);
+    return nodes_[id.index()];
+  }
+  const Schedule& schedule(ScheduleId id) const {
+    if (!HasSchedule(id)) DieOutOfRange(id);
+    return schedules_[id.index()];
+  }
 
   /// True iff `id` names an existing node.
   bool HasNode(NodeId id) const { return id.index() < nodes_.size(); }
@@ -147,7 +157,20 @@ class CompositeSystem {
 
   /// The schedule in whose operation set this node appears, i.e., the
   /// owner schedule of its parent.  Invalid for roots.
-  ScheduleId HostScheduleOf(NodeId id) const;
+  ScheduleId HostScheduleOf(NodeId id) const {
+    const Node& n = node(id);
+    if (!n.parent.valid()) return ScheduleId();
+    return node(n.parent).owner_schedule;
+  }
+
+  /// Position of non-root `id` among its parent's children.  Children are
+  /// appended in creation order, so their ids are sorted.
+  uint32_t ChildOrdinal(NodeId id) const {
+    const std::vector<NodeId>& siblings = node(node(id).parent).children;
+    return static_cast<uint32_t>(
+        std::lower_bound(siblings.begin(), siblings.end(), id) -
+        siblings.begin());
+  }
 
   /// All root transactions, in creation order (set R).
   std::vector<NodeId> Roots() const;
@@ -202,6 +225,8 @@ class CompositeSystem {
 
  private:
   Status CheckOperationPair(NodeId a, NodeId b, ScheduleId* host) const;
+  [[noreturn]] static void DieOutOfRange(NodeId id);
+  [[noreturn]] static void DieOutOfRange(ScheduleId id);
 
   std::vector<Node> nodes_;
   std::vector<Schedule> schedules_;

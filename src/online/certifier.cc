@@ -12,7 +12,7 @@ using workload::TraceEvent;
 using workload::TraceEventKind;
 
 Certifier::Certifier(const CertifierOptions& options) : options_(options) {
-  engine_.Reset(&cs_, {}, 0, options_.forgetting);
+  engine_.Reset(&cs_, &slots_, {}, 0, options_.forgetting);
 }
 
 bool Certifier::IsSealed(NodeId id) const {
@@ -105,9 +105,17 @@ bool Certifier::SealRootLocked(NodeId root) {
   if (IsSealed(root)) return false;
   sealed_roots_.push_back(root);
   unpruned_sealed_.push_back(root);
-  MarkSealed(root);
-  for (NodeId d : cs_.Descendants(root)) MarkSealed(d);
+  for (NodeId n : CollectSubtree(root)) MarkSealed(n);
   return true;
+}
+
+const std::vector<NodeId>& Certifier::CollectSubtree(NodeId root) {
+  subtree_.assign(1, root);
+  for (size_t k = 0; k < subtree_.size(); ++k) {
+    const std::vector<NodeId>& children = cs_.node(subtree_[k]).children;
+    subtree_.insert(subtree_.end(), children.begin(), children.end());
+  }
+  return subtree_;
 }
 
 bool Certifier::WouldCreateRecursion(ScheduleId from, ScheduleId to) const {
@@ -152,29 +160,49 @@ bool Certifier::RecomputeLevels() {
 
 void Certifier::Rebuild() {
   ++rebuilds_;
-  engine_.Reset(&cs_, schedule_levels_, order_, options_.forgetting);
+  engine_.Reset(&cs_, &slots_, schedule_levels_, order_, options_.forgetting);
   // Replay every retained closed pair.  All derived structures are
   // monotone functions of these facts (the conflict-dependent rules
   // consult the complete CON relations of cs_ at replay time), so replay
   // order is irrelevant and the result equals a fresh session's state.
+  const auto node = [&](uint32_t slot) { return slots_.NodeAt(slot); };
   for (uint32_t s = 0; s < cs_.ScheduleCount(); ++s) {
     const ScheduleId sid(s);
     const ScheduleShard& sh = shard(sid);
-    sh.weak_output.ForEach(
-        [&](NodeId a, NodeId b) { engine_.OnClosedWeakOutput(sid, a, b); });
-    sh.weak_input.ForEach(
-        [&](NodeId a, NodeId b) { engine_.OnClosedWeakInput(a, b); });
-    sh.strong_input.ForEach(
-        [&](NodeId a, NodeId b) { engine_.OnClosedStrongInput(a, b); });
-    for (const auto& [p, closure] : sh.weak_intra) {
-      closure.ForEach(
-          [&, p = p](NodeId a, NodeId b) { engine_.OnClosedWeakIntra(p, a, b); });
-    }
-    for (const auto& [p, closure] : sh.strong_intra) {
-      closure.ForEach(
-          [&](NodeId a, NodeId b) { engine_.OnClosedStrongIntra(a, b); });
-    }
+    sh.weak_output.ForEach([&](uint32_t a, uint32_t b) {
+      engine_.OnClosedWeakOutput(sid, node(a), node(b));
+    });
+    sh.weak_input.ForEach([&](uint32_t a, uint32_t b) {
+      engine_.OnClosedWeakInput(node(a), node(b));
+    });
+    sh.strong_input.ForEach([&](uint32_t a, uint32_t b) {
+      engine_.OnClosedStrongInput(node(a), node(b));
+    });
   }
+  for (uint32_t slot = 0; slot < intra_.size(); ++slot) {
+    if (!intra_[slot]) continue;
+    const NodeId p = node(slot);
+    const std::vector<NodeId>& children = cs_.node(p).children;
+    intra_[slot]->weak.ForEach([&](uint32_t a, uint32_t b) {
+      engine_.OnClosedWeakIntra(p, children[a], children[b]);
+    });
+    intra_[slot]->strong.ForEach([&](uint32_t a, uint32_t b) {
+      engine_.OnClosedStrongIntra(children[a], children[b]);
+    });
+  }
+}
+
+void Certifier::NodeAdded(NodeId n) {
+  slots_.Acquire(n);
+  engine_.OnNodeAdded(n);
+}
+
+template <typename Handler>
+void Certifier::EmitNewPairs(Handler handler) {
+  for (const auto& [x, y] : new_pairs_) {
+    handler(slots_.NodeAt(x), slots_.NodeAt(y));
+  }
+  new_pairs_.clear();
 }
 
 Status Certifier::IngestLocked(const TraceEvent& e) {
@@ -194,7 +222,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_ASSIGN_OR_RETURN(
           NodeId root, cs_.AddRootTransaction(ScheduleId(e.schedule), e.name));
       roots_.push_back(root);
-      engine_.OnNodeAdded(root);
+      NodeAdded(root);
       return Status::OK();
     }
     case TraceEventKind::kSub: {
@@ -215,9 +243,10 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
                               cs_.AddSubtransaction(parent, sched, e.name));
       invokes_[cs_.node(parent).owner_schedule.index()].insert(sched.index());
       if (RecomputeLevels()) {
+        slots_.Acquire(sub);
         Rebuild();
       } else {
-        engine_.OnNodeAdded(sub);
+        NodeAdded(sub);
       }
       return Status::OK();
     }
@@ -225,7 +254,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       const NodeId parent(e.parent);
       COMPTX_RETURN_IF_ERROR(CheckNotSealed(parent));
       COMPTX_ASSIGN_OR_RETURN(NodeId leaf, cs_.AddLeaf(parent, e.name));
-      engine_.OnNodeAdded(leaf);
+      NodeAdded(leaf);
       return Status::OK();
     }
     case TraceEventKind::kConflict: {
@@ -235,8 +264,9 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(cs_.AddConflict(a, b));
       saw_relational_event_ = true;
       const ScheduleShard& sh = shard(cs_.HostScheduleOf(a));
-      engine_.OnConflict(a, b, sh.weak_output.Contains(a, b),
-                         sh.weak_output.Contains(b, a));
+      const uint32_t sa = slots_.SlotOf(a), sb = slots_.SlotOf(b);
+      engine_.OnConflict(a, b, sh.weak_output.Contains(sa, sb),
+                         sh.weak_output.Contains(sb, sa));
       return Status::OK();
     }
     case TraceEventKind::kWeakOutput:
@@ -252,11 +282,11 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
                                  : cs_.AddStrongOutput(a, b));
       saw_relational_event_ = true;
       const ScheduleId host = cs_.HostScheduleOf(a);
-      std::vector<std::pair<NodeId, NodeId>> new_pairs;
-      shard(host).weak_output.Add(a, b, new_pairs);
-      for (const auto& [x, y] : new_pairs) {
+      shard(host).weak_output.Add(slots_.SlotOf(a), slots_.SlotOf(b),
+                                  new_pairs_);
+      EmitNewPairs([&](NodeId x, NodeId y) {
         engine_.OnClosedWeakOutput(host, x, y);
-      }
+      });
       return Status::OK();
     }
     case TraceEventKind::kWeakInput:
@@ -269,12 +299,17 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(strong ? cs_.AddStrongInput(sched, a, b)
                                     : cs_.AddWeakInput(sched, a, b));
       saw_relational_event_ = true;
-      std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
       ScheduleShard& sh = shard(sched);
-      if (strong) sh.strong_input.Add(a, b, new_strong);
-      sh.weak_input.Add(a, b, new_weak);  // strong pairs are weak pairs.
-      for (const auto& [x, y] : new_strong) engine_.OnClosedStrongInput(x, y);
-      for (const auto& [x, y] : new_weak) engine_.OnClosedWeakInput(x, y);
+      const uint32_t sa = slots_.SlotOf(a), sb = slots_.SlotOf(b);
+      if (strong) {
+        sh.strong_input.Add(sa, sb, new_pairs_);
+        EmitNewPairs([&](NodeId x, NodeId y) {
+          engine_.OnClosedStrongInput(x, y);
+        });
+      }
+      sh.weak_input.Add(sa, sb, new_pairs_);  // strong pairs are weak pairs.
+      EmitNewPairs(
+          [&](NodeId x, NodeId y) { engine_.OnClosedWeakInput(x, y); });
       return Status::OK();
     }
     case TraceEventKind::kIntraWeak:
@@ -288,15 +323,24 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(strong ? cs_.AddIntraStrong(txn, a, b)
                                     : cs_.AddIntraWeak(txn, a, b));
       saw_relational_event_ = true;
-      const ScheduleId owner = cs_.node(txn).owner_schedule;
-      std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
-      ScheduleShard& sh = shard(owner);
-      if (strong) sh.strong_intra[txn].Add(a, b, new_strong);
-      sh.weak_intra[txn].Add(a, b, new_weak);  // strong implies weak.
-      for (const auto& [x, y] : new_strong) engine_.OnClosedStrongIntra(x, y);
-      for (const auto& [x, y] : new_weak) {
-        engine_.OnClosedWeakIntra(txn, x, y);
+      const uint32_t ts = slots_.SlotOf(txn);
+      if (ts >= intra_.size()) intra_.resize(ts + 1);
+      if (!intra_[ts]) intra_[ts] = std::make_unique<IntraOrders>();
+      IntraOrders& orders = *intra_[ts];
+      const std::vector<NodeId>& children = cs_.node(txn).children;
+      const uint32_t oa = cs_.ChildOrdinal(a), ob = cs_.ChildOrdinal(b);
+      if (strong) {
+        orders.strong.Add(oa, ob, new_pairs_);
+        for (const auto& [x, y] : new_pairs_) {
+          engine_.OnClosedStrongIntra(children[x], children[y]);
+        }
+        new_pairs_.clear();
       }
+      orders.weak.Add(oa, ob, new_pairs_);  // strong implies weak.
+      for (const auto& [x, y] : new_pairs_) {
+        engine_.OnClosedWeakIntra(txn, children[x], children[y]);
+      }
+      new_pairs_.clear();
       return Status::OK();
     }
     case TraceEventKind::kCommit: {
@@ -395,7 +439,8 @@ void Certifier::MaybePruneLocked() {
   SchedulePruneLocked();
 }
 
-bool Certifier::CanPrune(const std::vector<NodeId>& subtree) const {
+bool Certifier::CanPrune(const std::vector<NodeId>& subtree,
+                         const BitRow& inside) const {
   // In-edges whose source lies inside the subtree are removed together
   // with it, so only edges crossing the boundary from outside pin the
   // subtree down.  This is sound because PruneLocked only runs while the
@@ -403,36 +448,29 @@ bool Certifier::CanPrune(const std::vector<NodeId>& subtree) const {
   // subtree carries no internal cycle whose evidence removal could lose,
   // and with a zero external in-degree no future event (which may not
   // reference sealed nodes) can ever route a cycle through the subtree.
-  const std::unordered_set<NodeId> inside(subtree.begin(), subtree.end());
   for (NodeId n : subtree) {
     // No external in-edge in any front-level or quotient structure.
     if (engine_.HasIncomingEdges(n, inside)) return false;
     const Node& node = cs_.node(n);
+    const uint32_t slot = slots_.SlotOf(n);
     if (node.IsTransaction()) {
       // Intra-block edges are always internal (the block's children are in
-      // the subtree whenever the block is), so a clean graph suffices.
+      // the subtree whenever the block is), so a clean graph suffices.  The
+      // intra closures relate children of one transaction too, so they
+      // never cross the boundary and need no check.
       if (!engine_.IntraGraphClean(n)) return false;
       const ScheduleShard& sh = shard(node.owner_schedule);
-      if (sh.weak_input.HasIncomingFromOutside(n, inside) ||
-          sh.strong_input.HasIncomingFromOutside(n, inside)) {
+      if (sh.weak_input.HasPredOutside(slot, inside) ||
+          sh.strong_input.HasPredOutside(slot, inside)) {
         return false;
       }
     }
-    if (!node.IsRoot()) {
-      // Closure in-edges could later manufacture derived in-edges by
-      // transitivity without any event naming `n`; require that none
-      // cross the boundary.
-      if (shard(cs_.HostScheduleOf(n))
-              .weak_output.HasIncomingFromOutside(n, inside)) {
-        return false;
-      }
-      const NodeId parent = node.parent;
-      const ScheduleShard& sh = shard(cs_.node(parent).owner_schedule);
-      auto check = [&](const auto& map) {
-        auto it = map.find(parent);
-        return it != map.end() && it->second.HasIncomingFromOutside(n, inside);
-      };
-      if (check(sh.weak_intra) || check(sh.strong_intra)) return false;
+    // Closure in-edges could later manufacture derived in-edges by
+    // transitivity without any event naming `n`; require that none cross
+    // the boundary.
+    if (!node.IsRoot() && shard(cs_.HostScheduleOf(n))
+                              .weak_output.HasPredOutside(slot, inside)) {
+      return false;
     }
   }
   return true;
@@ -442,26 +480,17 @@ void Certifier::RemoveSubtree(const std::vector<NodeId>& subtree) {
   for (NodeId n : subtree) {
     engine_.RemoveNode(n);
     const Node& node = cs_.node(n);
+    const uint32_t slot = slots_.SlotOf(n);
     if (node.IsTransaction()) {
-      engine_.RemoveIntraGraphOf(n);
       ScheduleShard& sh = shard(node.owner_schedule);
-      sh.weak_input.RemoveNode(n);
-      sh.strong_input.RemoveNode(n);
-      sh.weak_intra.erase(n);
-      sh.strong_intra.erase(n);
+      sh.weak_input.RemoveNode(slot);
+      sh.strong_input.RemoveNode(slot);
+      if (slot < intra_.size()) intra_[slot].reset();
     }
-    if (!node.IsRoot()) {
-      shard(cs_.HostScheduleOf(n)).weak_output.RemoveNode(n);
-      const NodeId parent = node.parent;
-      ScheduleShard& sh = shard(cs_.node(parent).owner_schedule);
-      if (auto it = sh.weak_intra.find(parent); it != sh.weak_intra.end()) {
-        it->second.RemoveNode(n);
-      }
-      if (auto it = sh.strong_intra.find(parent); it != sh.strong_intra.end()) {
-        it->second.RemoveNode(n);
-      }
-    }
+    if (!node.IsRoot()) shard(cs_.HostScheduleOf(n)).weak_output.RemoveNode(slot);
   }
+  // Only now: the engine resolves strong-pair peers in the subtree by slot.
+  for (NodeId n : subtree) slots_.Release(n);
 }
 
 size_t Certifier::PruneLocked() {
@@ -479,10 +508,11 @@ size_t Certifier::PruneLocked() {
   while (progress) {
     progress = false;
     for (size_t idx = 0; idx < unpruned_sealed_.size();) {
-      const NodeId root = unpruned_sealed_[idx];
-      std::vector<NodeId> subtree = {root};
-      for (NodeId d : cs_.Descendants(root)) subtree.push_back(d);
-      if (!CanPrune(subtree)) {
+      const std::vector<NodeId>& subtree =
+          CollectSubtree(unpruned_sealed_[idx]);
+      inside_.Clear();
+      for (NodeId n : subtree) inside_.TestAndSet(slots_.SlotOf(n));
+      if (!CanPrune(subtree, inside_)) {
         ++idx;
         continue;
       }
@@ -542,6 +572,7 @@ CertifierStats Certifier::Stats() const {
   stats.sealed_roots = sealed_roots_.size();
   stats.commit_watermark = commit_watermark_;
   stats.live_nodes = cs_.NodeCount() - pruned_node_count_;
+  stats.top_level_nodes = engine_.TopLevelNodeCount();
   stats.observed_pairs = engine_.ObservedPairCount();
   stats.cc_edges = engine_.CcEdgeCount();
   stats.calc_edges = engine_.CalcEdgeCount();
@@ -549,11 +580,10 @@ CertifierStats Certifier::Stats() const {
     stats.closure_pairs += sh.weak_output.PairCount() +
                            sh.weak_input.PairCount() +
                            sh.strong_input.PairCount();
-    for (const auto& [p, c] : sh.weak_intra) {
-      stats.closure_pairs += c.PairCount();
-    }
-    for (const auto& [p, c] : sh.strong_intra) {
-      stats.closure_pairs += c.PairCount();
+  }
+  for (const auto& orders : intra_) {
+    if (orders) {
+      stats.closure_pairs += orders->weak.PairCount() + orders->strong.PairCount();
     }
   }
   return stats;

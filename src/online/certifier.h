@@ -2,15 +2,18 @@
 #define COMPTX_ONLINE_CERTIFIER_H_
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/composite_system.h"
 #include "online/online_front.h"
+#include "online/slot_relation.h"
 #include "util/arena.h"
+#include "util/bitrow.h"
 #include "util/status.h"
 #include "workload/trace.h"
 
@@ -51,6 +54,7 @@ struct CertifierStats {
   uint64_t sealed_roots = 0;    // committed roots, pruned or not
   uint64_t commit_watermark = 0;  // highest commit_through applied
   size_t live_nodes = 0;        // nodes not garbage-collected
+  size_t top_level_nodes = 0;   // vertices of the top-level (roots) order
   size_t observed_pairs = 0;
   size_t cc_edges = 0;
   size_t calc_edges = 0;
@@ -167,14 +171,19 @@ class Certifier {
 
  private:
   /// Per-schedule shard: the incrementally maintained transitive closures
-  /// of that schedule's orders, plus the intra-transaction closures of the
-  /// transactions it owns.  Guarded by the session lock `mu_`.
+  /// of that schedule's orders, keyed by slot.  Guarded by the session
+  /// lock `mu_`.
   struct ScheduleShard {
     IncrementalClosure weak_output;
     IncrementalClosure weak_input;
     IncrementalClosure strong_input;
-    std::unordered_map<NodeId, IncrementalClosure> weak_intra;
-    std::unordered_map<NodeId, IncrementalClosure> strong_intra;
+  };
+
+  /// The closed intra orders of one transaction, keyed by the ordinals of
+  /// its children (CompositeSystem::ChildOrdinal).
+  struct IntraOrders {
+    IncrementalClosure weak;
+    IncrementalClosure strong;
   };
 
   Status IngestLocked(const workload::TraceEvent& event);
@@ -183,6 +192,10 @@ class Certifier {
   /// Seals `root` and its descendants; returns true if it was not
   /// already sealed.  Prune scheduling is the caller's business.
   bool SealRootLocked(NodeId root);
+
+  /// `root` and its descendants, in the reused scratch `subtree_`; valid
+  /// until the next call.
+  const std::vector<NodeId>& CollectSubtree(NodeId root);
 
   /// Recomputes schedule levels from the invocation adjacency; returns
   /// true if any level (or the order) changed.
@@ -194,13 +207,23 @@ class Certifier {
   /// Resets the engine for the current levels and replays all closures.
   void Rebuild();
 
+  /// Gives a newly created node its live-window slot and tells the engine.
+  void NodeAdded(NodeId n);
+
+  /// Feeds the closed pairs in `new_pairs_` (slots) to `handler` as nodes.
+  template <typename Handler>
+  void EmitNewPairs(Handler handler);
+
   /// Requests a prune: immediate outside a batch, deferred to the batch
   /// epilogue inside one (pruning reads engine state that batching
   /// defers, and one pass per batch is the point of the epoch design).
   void SchedulePruneLocked();
   void MaybePruneLocked();
   size_t PruneLocked();
-  bool CanPrune(const std::vector<NodeId>& subtree) const;
+  /// `inside` is the slot mask of `subtree`.
+  bool CanPrune(const std::vector<NodeId>& subtree, const BitRow& inside) const;
+  /// Scrubs every node of `subtree` from every structure, then releases
+  /// their slots.
   void RemoveSubtree(const std::vector<NodeId>& subtree);
 
   // Seal/prune bit accessors (node_flags_ is indexed by NodeId::index()).
@@ -216,8 +239,12 @@ class Certifier {
 
   mutable std::mutex mu_;  // session lock: cs_, engine_, shards, seals.
   CompositeSystem cs_;
+  /// Live nodes' slots: a node's key in every closure and engine graph.
+  SlotMap slots_;
   OnlineFrontEngine engine_;
   std::vector<ScheduleShard> shards_;
+  /// By transaction slot; null until the transaction gains an intra pair.
+  std::vector<std::unique_ptr<IntraOrders>> intra_;
 
   /// Schedule invocation adjacency (edge = host schedule invokes the
   /// subtransaction's schedule), kept for the recursion pre-check and the
@@ -253,6 +280,10 @@ class Certifier {
   /// Per-epoch scratch: backs the engine's deferred-edge buffers during
   /// IngestBatch; Reset after each flush+prune.
   MonotonicArena arena_;
+  // Ingest and prune scratch, kept across events (capacity persists).
+  std::vector<std::pair<uint32_t, uint32_t>> new_pairs_;
+  std::vector<NodeId> subtree_;
+  BitRow inside_;
   bool in_batch_ = false;
   bool prune_pending_ = false;
 

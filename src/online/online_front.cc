@@ -8,120 +8,40 @@
 
 namespace comptx::online {
 
-// ---- PairSet --------------------------------------------------------------
-
-bool PairSet::Add(NodeId a, NodeId b) {
-  if (!fwd_[a].insert(b).second) return false;
-  rev_[b].insert(a);
-  ++pair_count_;
-  return true;
-}
-
-bool PairSet::Contains(NodeId a, NodeId b) const {
-  auto it = fwd_.find(a);
-  return it != fwd_.end() && it->second.count(b) > 0;
-}
-
-void PairSet::RemoveNode(NodeId id) {
-  auto fit = fwd_.find(id);
-  if (fit != fwd_.end()) {
-    for (NodeId b : fit->second) {
-      rev_[b].erase(id);
-      --pair_count_;
-    }
-    fwd_.erase(fit);
-  }
-  auto rit = rev_.find(id);
-  if (rit != rev_.end()) {
-    for (NodeId a : rit->second) {
-      fwd_[a].erase(id);
-      --pair_count_;
-    }
-    rev_.erase(rit);
-  }
-}
-
-// ---- IncrementalClosure ---------------------------------------------------
-
-void IncrementalClosure::Add(NodeId a, NodeId b,
-                             std::vector<std::pair<NodeId, NodeId>>& new_pairs) {
-  {
-    auto it = succ_.find(a);
-    if (it != succ_.end() && it->second.count(b) > 0) {
-      // (a, b) already closed: any path using the new edge factors through
-      // existing closed pairs, so nothing new can appear.
-      return;
-    }
-  }
-  std::vector<NodeId> sources = {a};
-  if (auto it = pred_.find(a); it != pred_.end()) {
-    sources.insert(sources.end(), it->second.begin(), it->second.end());
-  }
-  std::vector<NodeId> targets = {b};
-  if (auto it = succ_.find(b); it != succ_.end()) {
-    targets.insert(targets.end(), it->second.begin(), it->second.end());
-  }
-  for (NodeId x : sources) {
-    auto& out = succ_[x];
-    for (NodeId y : targets) {
-      if (out.insert(y).second) {
-        pred_[y].insert(x);
-        ++pair_count_;
-        new_pairs.emplace_back(x, y);
-      }
-    }
-  }
-}
-
-bool IncrementalClosure::Contains(NodeId a, NodeId b) const {
-  auto it = succ_.find(a);
-  return it != succ_.end() && it->second.count(b) > 0;
-}
-
-void IncrementalClosure::RemoveNode(NodeId id) {
-  auto sit = succ_.find(id);
-  if (sit != succ_.end()) {
-    for (NodeId y : sit->second) {
-      pred_[y].erase(id);
-      --pair_count_;
-    }
-    succ_.erase(sit);
-  }
-  auto pit = pred_.find(id);
-  if (pit != pred_.end()) {
-    for (NodeId x : pit->second) {
-      succ_[x].erase(id);
-      --pair_count_;
-    }
-    pred_.erase(pit);
-  }
-}
-
 // ---- OnlineFrontEngine ----------------------------------------------------
 
-void OnlineFrontEngine::Reset(const CompositeSystem* cs,
+void OnlineFrontEngine::Reset(const CompositeSystem* cs, const SlotMap* slots,
                               std::vector<uint32_t> schedule_levels,
                               uint32_t order, bool forgetting) {
   cs_ = cs;
+  slots_ = slots;
   schedule_levels_ = std::move(schedule_levels);
   order_ = order;
   forgetting_ = forgetting;
   level_.assign(order_ + 1, LevelState{});
-  step_.assign(order_ + 1, StepState{});
+  quotient_.assign(order_ + 1, IncrementalCycleGraph{});
+  intra_.clear();
   strong_of_.clear();
   failure_.reset();
   // A mid-batch Reset (schedule levels shifted) invalidates the deferred
   // ops' routing; drop them — the caller re-feeds its closures, which
   // defer afresh against the new levels.
   if (pending_) pending_->clear();
-  for (uint32_t v = 0; v < cs_->NodeCount(); ++v) {
-    if (cs_->node(NodeId(v)).IsRoot()) {
-      if (pending_) {
-        pending_->push_back(PendingOp{PendingOp::Kind::kEnsureTop, 0, NodeId(),
-                                      NodeId(v), NodeId()});
-      } else {
-        level_[order_].cc.EnsureNode(NodeId(v));
-      }
+  // Only live roots: a pruned root never takes an edge again, and
+  // registering it would make a rebuild cost O(history) and fill the
+  // top-level graph with dead vertices.  Creation order, as the roots
+  // arrived, fixes the initial order keys.
+  std::vector<NodeId> roots;
+  slots_->ForEachLive([&](NodeId n) {
+    if (cs_->node(n).IsRoot()) roots.push_back(n);
+  });
+  std::sort(roots.begin(), roots.end());
+  for (NodeId root : roots) {
+    if (pending_) {
+      pending_->push_back(PendingOp{PendingOp::Kind::kEnsureTop, 0, NodeId(),
+                                    root, NodeId()});
+    } else {
+      level_[order_].cc.EnsureNode(Slot(root));
     }
   }
 }
@@ -139,7 +59,7 @@ void OnlineFrontEngine::FlushBatch() {
   for (const PendingOp& op : ops) {
     switch (op.kind) {
       case PendingOp::Kind::kEnsureTop:
-        level_[order_].cc.EnsureNode(op.a);
+        level_[order_].cc.EnsureNode(Slot(op.a));
         break;
       case PendingOp::Kind::kCc:
         CcEdgeNow(op.idx, op.a, op.b);
@@ -196,16 +116,18 @@ bool OnlineFrontEngine::BindingObserved(NodeId a, NodeId b) const {
   return true;  // cross-schedule pairs are observed-related by construction.
 }
 
+template <typename NodeOf>
 void OnlineFrontEngine::Fail(uint32_t level, OnlineFailure::Step step,
-                             const std::vector<NodeId>& witness,
-                             const std::string& what) {
+                             const std::vector<uint32_t>& witness,
+                             NodeOf node_of, const std::string& what) {
   if (failure_) return;
   OnlineFailure f;
   f.level = level;
   f.step = step;
-  f.witness = witness;
   std::string cycle;
-  for (NodeId n : witness) {
+  for (uint32_t v : witness) {
+    const NodeId n = node_of(v);
+    f.witness.push_back(n);
     if (!cycle.empty()) cycle += " -> ";
     cycle += cs_->node(n).name;
   }
@@ -223,8 +145,9 @@ void OnlineFrontEngine::CcEdge(uint32_t j, NodeId a, NodeId b) {
 
 void OnlineFrontEngine::CcEdgeNow(uint32_t j, NodeId a, NodeId b) {
   IncrementalCycleGraph& cc = level_[j].cc;
-  if (!cc.AddEdge(a, b) && !failure_) {
+  if (!cc.AddEdge(Slot(a), Slot(b)) && !failure_) {
     Fail(j, OnlineFailure::Step::kConflictConsistency, cc.cycle_witness(),
+         [&](uint32_t v) { return slots_->NodeAt(v); },
          StrCat("front level ", j, " is not conflict consistent"));
   }
 }
@@ -251,9 +174,10 @@ void OnlineFrontEngine::CalcEdgeNow(uint32_t i, NodeId a, NodeId b) {
     IntraEdgeNow(i, ra, a, b);
     return;
   }
-  IncrementalCycleGraph& q = step_[i].quotient;
-  if (!q.AddEdge(ra, rb) && !failure_) {
+  IncrementalCycleGraph& q = quotient_[i];
+  if (!q.AddEdge(Slot(ra), Slot(rb)) && !failure_) {
     Fail(i, OnlineFailure::Step::kCalculation, q.cycle_witness(),
+         [&](uint32_t v) { return slots_->NodeAt(v); },
          StrCat("no calculation at level ", i,
                 ": block cycle prevents isolating the level ", i,
                 " transactions"));
@@ -270,9 +194,14 @@ void OnlineFrontEngine::IntraEdge(uint32_t i, NodeId p, NodeId a, NodeId b) {
 }
 
 void OnlineFrontEngine::IntraEdgeNow(uint32_t i, NodeId p, NodeId a, NodeId b) {
-  IncrementalCycleGraph& g = step_[i].intra[p];
-  if (!g.AddEdge(a, b) && !failure_) {
+  const uint32_t ps = Slot(p);
+  if (ps >= intra_.size()) intra_.resize(ps + 1);
+  if (!intra_[ps]) intra_[ps] = std::make_unique<IncrementalCycleGraph>();
+  IncrementalCycleGraph& g = *intra_[ps];
+  if (!g.AddEdge(cs_->ChildOrdinal(a), cs_->ChildOrdinal(b)) && !failure_) {
+    const std::vector<NodeId>& children = cs_->node(p).children;
     Fail(i, OnlineFailure::Step::kCalculation, g.cycle_witness(),
+         [&](uint32_t v) { return children[v]; },
          StrCat("no calculation for transaction ", cs_->node(p).name,
                 ": the observed order contradicts its intra-transaction ",
                 "order"));
@@ -281,7 +210,7 @@ void OnlineFrontEngine::IntraEdgeNow(uint32_t i, NodeId p, NodeId a, NodeId b) {
 
 void OnlineFrontEngine::AddObserved(uint32_t j, NodeId a, NodeId b) {
   if (j > order_) return;
-  if (!level_[j].observed.Add(a, b)) return;
+  if (!level_[j].observed.Add(Slot(a), Slot(b))) return;
   CcEdge(j, a, b);
   if (j + 1 > order_) return;
   // Calculation rule 2 at step j+1: the pair binds iff it conflicts.
@@ -297,7 +226,7 @@ void OnlineFrontEngine::AddObserved(uint32_t j, NodeId a, NodeId b) {
 void OnlineFrontEngine::OnNodeAdded(NodeId x) {
   const Node& n = cs_->node(x);
   if (n.IsRoot()) {
-    level_[order_].cc.EnsureNode(x);
+    level_[order_].cc.EnsureNode(Slot(x));
     return;
   }
   // Retroactive pull-down: existing strong constraints on any ancestor now
@@ -305,9 +234,8 @@ void OnlineFrontEngine::OnNodeAdded(NodeId x) {
   const uint32_t x_begin = SpanBegin(x);
   const uint32_t x_end = SpanEnd(x);
   for (NodeId anc = n.parent;; anc = cs_->node(anc).parent) {
-    auto it = strong_of_.find(anc);
-    if (it != strong_of_.end()) {
-      for (const auto& [other, is_source] : it->second) {
+    if (const uint32_t as = Slot(anc); as < strong_of_.size()) {
+      for (const auto& [other, is_source] : strong_of_[as]) {
         const uint32_t hi = std::min(x_end, SpanEnd(other));
         for (uint32_t j = x_begin; j <= hi; ++j) {
           for (NodeId y : FrontMembersOfSubtree(other, j)) {
@@ -344,9 +272,9 @@ void OnlineFrontEngine::OnConflict(NodeId a, NodeId b, bool weak_out_ab,
     if (weak_out_ba) CalcEdge(j + 1, b, a);
     // The conflict turns existing observed pairs binding (calculation
     // rule 2) and un-forgets their pull-up (Def 10 rule 3).
-    PairSet& observed = level_[j].observed;
+    const SlotRelation& observed = level_[j].observed;
     for (auto [x, y] : {std::pair(a, b), std::pair(b, a)}) {
-      if (!observed.Contains(x, y)) continue;
+      if (!observed.Contains(Slot(x), Slot(y))) continue;
       CalcEdge(j + 1, x, y);
       if (j + 1 <= order_) {
         if (auto image = PullUpObservedPair(*cs_, x, y, Rep(x, j + 1),
@@ -407,8 +335,12 @@ void OnlineFrontEngine::OnClosedStrongIntra(NodeId a, NodeId b) {
 }
 
 void OnlineFrontEngine::StrongPair(NodeId u, NodeId v) {
-  strong_of_[u].emplace_back(v, true);
-  strong_of_[v].emplace_back(u, false);
+  const uint32_t us = Slot(u), vs = Slot(v);
+  if (std::max(us, vs) >= strong_of_.size()) {
+    strong_of_.resize(std::max(us, vs) + 1);
+  }
+  strong_of_[us].emplace_back(v, true);
+  strong_of_[vs].emplace_back(u, false);
   // Pull the constraint down onto every front (Def 16 / front strong
   // orders): all front pairs across the two disjoint subtrees, which are
   // both CC edges and calculation rule 1 edges at the next step.
@@ -427,51 +359,44 @@ void OnlineFrontEngine::StrongPair(NodeId u, NodeId v) {
 }
 
 uint64_t OnlineFrontEngine::TopOrderKey(NodeId root) const {
-  return level_[order_].cc.OrderKey(root);
+  return level_[order_].cc.OrderKey(Slot(root));
 }
 
-bool OnlineFrontEngine::HasIncomingEdges(
-    NodeId n, const std::unordered_set<NodeId>& inside) const {
+bool OnlineFrontEngine::HasIncomingEdges(NodeId n,
+                                         const BitRow& inside) const {
+  const uint32_t s = Slot(n);
   for (const LevelState& l : level_) {
-    if (l.cc.HasInEdgeFromOutside(n, inside)) return true;
+    if (l.cc.HasInEdgeFromOutside(s, inside)) return true;
   }
-  for (const StepState& s : step_) {
-    if (s.quotient.HasInEdgeFromOutside(n, inside)) return true;
+  for (const IncrementalCycleGraph& q : quotient_) {
+    if (q.HasInEdgeFromOutside(s, inside)) return true;
   }
   return false;
 }
 
 void OnlineFrontEngine::RemoveNode(NodeId n) {
+  const uint32_t s = Slot(n);
   for (LevelState& l : level_) {
-    l.observed.RemoveNode(n);
-    l.cc.RemoveNode(n);
+    l.observed.RemoveNode(s);
+    l.cc.RemoveNode(s);
   }
-  for (StepState& s : step_) s.quotient.RemoveNode(n);
-  auto it = strong_of_.find(n);
-  if (it != strong_of_.end()) {
-    for (const auto& [other, is_source] : it->second) {
-      auto oit = strong_of_.find(other);
-      if (oit == strong_of_.end()) continue;
-      auto& peers = oit->second;
+  for (IncrementalCycleGraph& q : quotient_) q.RemoveNode(s);
+  if (s < intra_.size()) intra_[s].reset();
+  if (s < strong_of_.size()) {
+    for (const auto& [other, is_source] : strong_of_[s]) {
+      if (other == n) continue;  // a self pair lives in this list only.
+      auto& peers = strong_of_[Slot(other)];
       peers.erase(std::remove_if(peers.begin(), peers.end(),
                                  [&](const auto& e) { return e.first == n; }),
                   peers.end());
     }
-    strong_of_.erase(it);
+    strong_of_[s].clear();
   }
 }
 
 bool OnlineFrontEngine::IntraGraphClean(NodeId p) const {
-  const uint32_t i = schedule_levels_[cs_->node(p).owner_schedule.index()];
-  if (i > order_) return true;
-  auto it = step_[i].intra.find(p);
-  return it == step_[i].intra.end() || !it->second.has_cycle();
-}
-
-void OnlineFrontEngine::RemoveIntraGraphOf(NodeId p) {
-  const uint32_t i = schedule_levels_[cs_->node(p).owner_schedule.index()];
-  if (i > order_) return;
-  step_[i].intra.erase(p);
+  const uint32_t s = Slot(p);
+  return s >= intra_.size() || !intra_[s] || !intra_[s]->has_cycle();
 }
 
 size_t OnlineFrontEngine::ObservedPairCount() const {
@@ -488,9 +413,9 @@ size_t OnlineFrontEngine::CcEdgeCount() const {
 
 size_t OnlineFrontEngine::CalcEdgeCount() const {
   size_t n = 0;
-  for (const StepState& s : step_) {
-    n += s.quotient.EdgeCount();
-    for (const auto& [p, g] : s.intra) n += g.EdgeCount();
+  for (const IncrementalCycleGraph& q : quotient_) n += q.EdgeCount();
+  for (const auto& g : intra_) {
+    if (g) n += g->EdgeCount();
   }
   return n;
 }

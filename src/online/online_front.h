@@ -4,92 +4,17 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/composite_system.h"
 #include "online/incremental_cycles.h"
+#include "online/slot_relation.h"
 #include "util/arena.h"
+#include "util/bitrow.h"
 
 namespace comptx::online {
-
-/// A prunable set of ordered NodeId pairs with forward and reverse
-/// adjacency.  Functionally a subset of core Relation, but supports
-/// RemoveNode (core Relation is append-only) so the certifier can GC the
-/// observed orders of committed, fully reduced roots.
-class PairSet {
- public:
-  /// Adds (a, b); returns true if new.
-  bool Add(NodeId a, NodeId b);
-  bool Contains(NodeId a, NodeId b) const;
-  size_t PairCount() const { return pair_count_; }
-
-  /// True iff some pair (x, id) exists.
-  bool HasIncoming(NodeId id) const {
-    auto it = rev_.find(id);
-    return it != rev_.end() && !it->second.empty();
-  }
-
-  /// Drops every pair with `id` as an endpoint.
-  void RemoveNode(NodeId id);
-
- private:
-  std::unordered_map<NodeId, std::unordered_set<NodeId>> fwd_;
-  std::unordered_map<NodeId, std::unordered_set<NodeId>> rev_;
-  size_t pair_count_ = 0;
-};
-
-/// An incrementally maintained transitive closure of a growing relation.
-/// Mirrors core ClosureWithin exactly (in particular, a node is closed to
-/// itself only when it lies on a cycle), but each generating-edge insertion
-/// reports just the *newly* closed pairs so downstream structures can be
-/// patched instead of recomputed: on Add(a, b) the new pairs are
-/// ({a} ∪ pred(a)) × ({b} ∪ succ(b)) minus the pairs already closed.
-class IncrementalClosure {
- public:
-  /// Adds the generating edge a -> b and appends every newly closed pair
-  /// to `new_pairs` (possibly none if (a, b) was already closed).
-  void Add(NodeId a, NodeId b,
-           std::vector<std::pair<NodeId, NodeId>>& new_pairs);
-
-  bool Contains(NodeId a, NodeId b) const;
-  size_t PairCount() const { return pair_count_; }
-
-  bool HasIncoming(NodeId id) const {
-    auto it = pred_.find(id);
-    return it != pred_.end() && !it->second.empty();
-  }
-
-  /// True iff some closed pair (x, id) exists with x outside `inside`.
-  bool HasIncomingFromOutside(NodeId id,
-                              const std::unordered_set<NodeId>& inside) const {
-    auto it = pred_.find(id);
-    if (it == pred_.end()) return false;
-    for (NodeId pred : it->second) {
-      if (inside.count(pred) == 0) return true;
-    }
-    return false;
-  }
-
-  /// Invokes f(a, b) for every closed pair (unspecified order).
-  template <typename F>
-  void ForEach(F f) const {
-    for (const auto& [a, succs] : succ_) {
-      for (NodeId b : succs) f(a, b);
-    }
-  }
-
-  /// Drops every closed pair with `id` as an endpoint.  Only safe for
-  /// nodes that will never be referenced again (sealed subtrees).
-  void RemoveNode(NodeId id);
-
- private:
-  std::unordered_map<NodeId, std::unordered_set<NodeId>> succ_;
-  std::unordered_map<NodeId, std::unordered_set<NodeId>> pred_;
-  size_t pair_count_ = 0;
-};
 
 /// Where an online certification failed, mirroring core ReductionFailure.
 struct OnlineFailure {
@@ -125,17 +50,26 @@ struct OnlineFailure {
 /// Failure is sticky for reporting (the first violation is kept) but the
 /// structures keep absorbing edges afterwards, so pruning bookkeeping and
 /// later rebuilds stay exact.
+///
+/// Handlers take NodeIds; every structure is keyed by the node's
+/// live-window slot from the certifier's SlotMap (a transaction's
+/// intra-block graph by CompositeSystem::ChildOrdinal), so the level
+/// structures are dense bit rows spanning the live window (DESIGN.md
+/// §13.3).
 class OnlineFrontEngine {
  public:
   OnlineFrontEngine() = default;
 
-  /// (Re)initializes for `cs` with the given schedule levels and order.
-  /// `cs` must outlive the engine; `forgetting` as in ReductionOptions.
-  /// Discards any deferred batch edges (a reset regenerates complete
-  /// state from the certifier's retained closures) but stays in batch
-  /// mode if one is open, so the replay defers again.
-  void Reset(const CompositeSystem* cs, std::vector<uint32_t> schedule_levels,
-             uint32_t order, bool forgetting);
+  /// (Re)initializes for `cs` with the given schedule levels and order,
+  /// registering the live roots of `slots` in the top-level order.  `cs`
+  /// and `slots` must outlive the engine; every node passed to a handler
+  /// must hold a slot.  `forgetting` as in ReductionOptions.  Discards any
+  /// deferred batch edges (a reset regenerates complete state from the
+  /// certifier's retained closures) but stays in batch mode if one is
+  /// open, so the replay defers again.
+  void Reset(const CompositeSystem* cs, const SlotMap* slots,
+             std::vector<uint32_t> schedule_levels, uint32_t order,
+             bool forgetting);
 
   // ---- Edge batching ----------------------------------------------------
 
@@ -202,21 +136,21 @@ class OnlineFrontEngine {
 
   /// True iff `n` has an in-edge from outside `inside` in any
   /// conflict-consistency or quotient graph (observed pairs are CC edges,
-  /// so they are covered).  `inside` is the sealed subtree being pruned:
-  /// its internal edges disappear together with the subtree.
-  bool HasIncomingEdges(NodeId n,
-                        const std::unordered_set<NodeId>& inside) const;
+  /// so they are covered).  `inside` is the slot mask of the sealed
+  /// subtree being pruned: its internal edges disappear together with it.
+  bool HasIncomingEdges(NodeId n, const BitRow& inside) const;
 
-  /// Removes `n` from every level structure.
+  /// Scrubs `n` from every structure: its pairs and edges at every level,
+  /// its intra-block graph and its strong-pair records.  Afterwards no
+  /// row names n's slot, so the certifier may release it.
   void RemoveNode(NodeId n);
 
   /// True iff the intra-block graph of group transaction `p` is
   /// cycle-free (vacuously true if absent).
   bool IntraGraphClean(NodeId p) const;
 
-  /// Drops the intra-block graph of `p` and the strong-pair records
-  /// keyed at `p`.
-  void RemoveIntraGraphOf(NodeId p);
+  /// Vertex count of the top-level (roots) conflict-consistency graph.
+  size_t TopLevelNodeCount() const { return level_[order_].cc.NodeCount(); }
 
   // ---- Stats ------------------------------------------------------------
 
@@ -226,13 +160,11 @@ class OnlineFrontEngine {
 
  private:
   struct LevelState {
-    PairSet observed;
+    SlotRelation observed;
     IncrementalCycleGraph cc;
   };
-  struct StepState {
-    IncrementalCycleGraph quotient;
-    std::unordered_map<NodeId, IncrementalCycleGraph> intra;
-  };
+
+  uint32_t Slot(NodeId x) const { return slots_->SlotOf(x); }
 
   uint32_t LevelOfSchedule(ScheduleId s) const {
     return schedule_levels_[s.index()];
@@ -282,8 +214,12 @@ class OnlineFrontEngine {
   /// Records a closed strong pair and pulls it down onto every front.
   void StrongPair(NodeId u, NodeId v);
 
+  /// Records the first failure; `witness` holds the cycle's vertex ids and
+  /// `node_of` maps one back to its node.
+  template <typename NodeOf>
   void Fail(uint32_t level, OnlineFailure::Step step,
-            const std::vector<NodeId>& witness, const std::string& what);
+            const std::vector<uint32_t>& witness, NodeOf node_of,
+            const std::string& what);
 
   /// One deferred cycle-graph mutation; applied in FIFO order at flush.
   struct PendingOp {
@@ -296,14 +232,20 @@ class OnlineFrontEngine {
   };
 
   const CompositeSystem* cs_ = nullptr;
+  const SlotMap* slots_ = nullptr;
   std::vector<uint32_t> schedule_levels_;
   uint32_t order_ = 0;
   bool forgetting_ = true;
 
   std::vector<LevelState> level_;  // [0, order]
-  std::vector<StepState> step_;    // index i in [1, order] used
-  /// endpoint -> (other endpoint, true iff this endpoint is the source).
-  std::unordered_map<NodeId, std::vector<std::pair<NodeId, bool>>> strong_of_;
+  /// Quotient of the step-i calculation graph; index i in [1, order] used.
+  std::vector<IncrementalCycleGraph> quotient_;
+  /// By slot of the group transaction: its intra-block graph (at the step
+  /// of its owner schedule's level), over its children's ordinals.
+  std::vector<std::unique_ptr<IncrementalCycleGraph>> intra_;
+  /// By slot of an endpoint: (other endpoint, true iff this endpoint is
+  /// the source) for every closed strong pair.
+  std::vector<std::vector<std::pair<NodeId, bool>>> strong_of_;
   std::optional<OnlineFailure> failure_;
 
   /// Engaged while batching; backed by the caller's per-epoch arena.

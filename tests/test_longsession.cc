@@ -525,6 +525,99 @@ class WindowStream {
   uint32_t prev_leaf_ = kInvalidIndex;
 };
 
+/// A structural event late in a long pruned session rebuilds the engine
+/// from the retained closures.  The rebuild must register only the live
+/// roots in the top-level order: re-registering every root the session
+/// ever had made the rebuild cost O(history) and left the dead roots in
+/// the top-level graph for good.  Verdicts stay those of the batch oracle
+/// at every prefix, through the rebuild and a later violation.
+TEST(LongSessionRebuild, LateScheduleEventRegistersOnlyLiveRoots) {
+  using workload::TraceEvent;
+  using workload::TraceEventKind;
+  constexpr uint32_t kRoots = 1200;
+  constexpr uint32_t kWindow = 8;
+  std::vector<TraceEvent> events;
+  TraceEvent e;
+  e.kind = TraceEventKind::kSchedule;
+  e.name = "S";
+  events.push_back(e);
+  uint32_t next_id = 0;
+  uint32_t prev_leaf = kInvalidIndex;
+  const auto add_root = [&](const std::string& name) {
+    TraceEvent r;
+    r.kind = TraceEventKind::kRoot;
+    r.schedule = 0;
+    r.name = "T" + name;
+    events.push_back(r);
+    TraceEvent l;
+    l.kind = TraceEventKind::kLeaf;
+    l.parent = next_id++;
+    l.name = "x" + name;
+    events.push_back(l);
+    return next_id++;
+  };
+  const auto order = [&](uint32_t a, uint32_t b, TraceEventKind kind) {
+    TraceEvent o;
+    o.kind = kind;
+    o.a = a;
+    o.b = b;
+    events.push_back(o);
+  };
+  // Roots in pairs, the second leaf of a pair conflicting with and
+  // ordered after the first; a watermark every kWindow roots, once the
+  // covered pairs are complete.
+  for (uint32_t r = 0; r < kRoots; ++r) {
+    const uint32_t leaf = add_root(std::to_string(r));
+    if (r % 2 == 1) {
+      order(prev_leaf, leaf, TraceEventKind::kConflict);
+      order(prev_leaf, leaf, TraceEventKind::kWeakOutput);
+    }
+    prev_leaf = leaf;
+    if ((r + 1) % kWindow == 0) {
+      TraceEvent w;
+      w.kind = TraceEventKind::kCommitThrough;
+      w.a = r + 1;
+      events.push_back(w);
+    }
+  }
+  const size_t late = events.size();
+  e = {};
+  e.kind = TraceEventKind::kSchedule;
+  e.name = "S2";
+  events.push_back(e);
+  // Two more roots in S, then a weak output cycle between their leaves.
+  const uint32_t a = add_root("a");
+  const uint32_t b = add_root("b");
+  order(a, b, TraceEventKind::kConflict);
+  order(a, b, TraceEventKind::kWeakOutput);
+  order(b, a, TraceEventKind::kWeakOutput);
+
+  Certifier certifier;
+  std::vector<bool> online;
+  for (size_t i = 0; i < events.size(); ++i) {
+    ASSERT_TRUE(certifier.Ingest(events[i]).ok())
+        << "event " << i << ": " << workload::FormatTraceEvent(events[i]);
+    online.push_back(certifier.Certifiable());
+    if (i == late) {
+      const CertifierStats stats = certifier.Stats();
+      ASSERT_GT(stats.rebuilds, 1u);
+      ASSERT_GT(stats.pruned_nodes, size_t{kRoots});  // history was pruned
+      ASSERT_TRUE(certifier.Certifiable());
+      EXPECT_EQ(stats.top_level_nodes, certifier.SerialWitness().size());
+      EXPECT_LE(stats.top_level_nodes, 2u * kWindow);
+    }
+  }
+  EXPECT_FALSE(online.back());
+  auto oracle = analysis::BatchPrefixVerdicts(events, BatchPrefixOptions());
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ASSERT_EQ(oracle->size(), online.size());
+  for (size_t i = 0; i < online.size(); ++i) {
+    ASSERT_EQ(online[i], !!(*oracle)[i])
+        << "after event " << i << " ("
+        << workload::FormatTraceEvent(events[i]) << ")";
+  }
+}
+
 TEST(LongSessionSoak, MillionEventWindowStaysFlatAndAgreesWithOracle) {
   // 1M events by default; COMPTX_SOAK=1 (the nightly ASan job) runs the
   // full 10M-event version.
